@@ -22,9 +22,15 @@ from .errors import (
     ScanInterrupted,
     ValidationError,
 )
-from .experiments import ScanConfig, reproduce, scan_min_p1, scan_spectrum
+from .experiments import (
+    ScanConfig,
+    reproduce,
+    scan_min_p1,
+    scan_spectrum,
+    write_manifest,
+)
 from .floquet import floquet_modes, monodromy
-from .model import SystemSpec, spec_from_json
+from .model import SystemSpec, override_spec_fields, spec_from_json
 from .propagator import basis_state, propagate
 
 WORKERS_ENV = "FLOQUET_LATTICE_WORKERS"
@@ -110,16 +116,11 @@ def _load_spec(args) -> SystemSpec:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    spec = spec_from_json(text)
-    overrides = _parse_overrides(args.overrides)
-    if overrides:
-        raw = spec.to_json_dict()
-        for key, value in overrides.items():
-            if key not in raw:
-                raise ValidationError(f"unknown spec field {key!r}")
-            raw[key] = int(value) if key == "n_sites" else float(value)
-        spec = spec_from_json(json.dumps(raw))
-    return spec
+    raw = spec_from_json(text).to_json_dict()
+    unknown = override_spec_fields(raw, _parse_overrides(args.overrides))
+    if unknown:
+        raise ValidationError(f"unknown spec field {next(iter(unknown))!r}")
+    return spec_from_json(json.dumps(raw))
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -146,14 +147,6 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _write_manifest(out_dir: Path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    with open(out_dir / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_propagate(args) -> int:
     spec = _load_spec(args)
     started = time.perf_counter()
@@ -167,7 +160,7 @@ def _cmd_propagate(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     csvio.write_trajectory(args.out / "trajectory.csv", traj.times,
                            traj.amplitudes)
-    _write_manifest(args.out, {
+    write_manifest(args.out, {
         "command": "propagate",
         "spec": spec.to_json_dict(),
         "initial_site": args.initial_site,
@@ -178,8 +171,7 @@ def _cmd_propagate(args) -> int:
         "max_norm_deviation": traj.max_norm_deviation,
         "min_populations": [float(v) for v in traj.min_populations],
         "outputs": ["trajectory.csv"],
-        "wall_time_s": time.perf_counter() - started,
-    })
+    }, started)
     return 0
 
 
@@ -194,7 +186,7 @@ def _cmd_floquet(args) -> int:
     if args.dump_monodromy:
         csvio.write_monodromy(args.out / "monodromy.csv", op.matrix)
         outputs.append("monodromy.csv")
-    _write_manifest(args.out, {
+    write_manifest(args.out, {
         "command": "floquet",
         "spec": spec.to_json_dict(),
         "steps_per_period": args.steps_per_period,
@@ -202,8 +194,7 @@ def _cmd_floquet(args) -> int:
         "unitarity_residual": op.unitarity_residual(),
         "quasienergies": [m.quasienergy for m in modes],
         "outputs": outputs,
-        "wall_time_s": time.perf_counter() - started,
-    })
+    }, started)
     return 0
 
 
@@ -227,7 +218,7 @@ def _cmd_scan_minp1(args) -> int:
     result = scan_min_p1(config, workers=_workers(args))
     args.out.mkdir(parents=True, exist_ok=True)
     csvio.write_min_p1_scan(args.out / "minp1.csv", result.ratios, result.min_p1)
-    _write_manifest(args.out, {
+    write_manifest(args.out, {
         "command": "scan-minp1",
         **config.to_json_dict(),
         "overrides": _parse_overrides(args.overrides),
@@ -235,8 +226,7 @@ def _cmd_scan_minp1(args) -> int:
         "landmarks": result.landmarks,
         "max_norm_deviation": result.max_norm_deviation,
         "outputs": ["minp1.csv"],
-        "wall_time_s": time.perf_counter() - started,
-    })
+    }, started)
     return 0
 
 
@@ -248,7 +238,7 @@ def _cmd_scan_spectrum(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     csvio.write_spectrum(args.out / "spectrum.csv", result.ratios,
                          result.branch_set.branches, include_residual=True)
-    _write_manifest(args.out, {
+    write_manifest(args.out, {
         "command": "scan-spectrum",
         **config.to_json_dict(),
         "overrides": _parse_overrides(args.overrides),
@@ -257,8 +247,7 @@ def _cmd_scan_spectrum(args) -> int:
         "classifications": result.classifications,
         "warnings": result.warnings,
         "outputs": ["spectrum.csv"],
-        "wall_time_s": time.perf_counter() - started,
-    })
+    }, started)
     return 0
 
 

@@ -32,7 +32,7 @@ from .floquet import (
     classify_closest_approach,
     track_branches,
 )
-from .model import SystemSpec, spec_from_json
+from .model import SystemSpec, override_spec_fields, spec_from_json
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
@@ -319,11 +319,8 @@ def figure_config(figure_id: str) -> dict:
 def _apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
     """Apply key=value overrides to a figure recipe, after file load."""
     raw = json.loads(json.dumps(raw))  # deep copy
-    spec_keys = set(raw["spec"])
-    for key, value in overrides.items():
-        if key in spec_keys:
-            raw["spec"][key] = int(value) if key == "n_sites" else float(value)
-        elif key in ("horizon_periods", "steps_per_period", "initial_site"):
+    for key, value in override_spec_fields(raw["spec"], overrides).items():
+        if key in ("horizon_periods", "steps_per_period", "initial_site"):
             raw[key] = int(value)
         elif key == "grid_start":
             raw["grid"]["start"] = float(value)
@@ -463,7 +460,6 @@ def reproduce(
     landmarks = landmark_zeros(config.grid_start, config.grid_stop)
     manifest = {
         "figure": figure_id,
-        "tool_version": _tool_version(),
         "spec": config.base_spec.to_json_dict(),
         "grid": {
             "start": config.grid_start,
@@ -486,14 +482,26 @@ def reproduce(
             result_min.max_norm_deviation if result_min is not None else 0.0
         ),
         "outputs": outputs,
-        "wall_time_s": time.perf_counter() - started,
     }
     if min_curve_gap is not None:
         manifest["min_p1_oracle_gap"] = min_curve_gap
-    with open(out_dir / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    return write_manifest(out_dir, manifest, started)
+
+
+def write_manifest(out_dir, payload: dict, started: float) -> dict:
+    """Write ``payload`` as out_dir/manifest.json and return what was written.
+
+    The tool version and the wall time since ``started`` (a
+    ``time.perf_counter()`` reading) are added to it.
+    """
+    from . import __version__
+
+    payload = {**payload, "tool_version": __version__,
+               "wall_time_s": time.perf_counter() - started}
+    with open(Path(out_dir) / "manifest.json", "w", encoding="ascii") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
+    return payload
 
 
 def _min_curve_oracle_gap(config: ScanConfig, result: ScanResult) -> float:
@@ -513,9 +521,3 @@ def _min_curve_oracle_gap(config: ScanConfig, result: ScanResult) -> float:
         floor = ((j02**2 - j01**2) / s) ** 2 if j02**2 >= j01**2 else 0.0
         worst = max(worst, abs(float(numeric) - floor))
     return worst
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__

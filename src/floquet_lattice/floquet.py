@@ -1,12 +1,15 @@
 """One-period evolution operator, quasi-energies, and mode analysis.
 
-The one-period operator U(T, 0) is assembled by propagating every canonical
-basis vector over a single drive period with the shared RK4 kernel. Its
-eigenvalues exp(-i eps T) define quasi-energies eps, folded into the
-principal zone (-omega/2, omega/2]. The eigendecomposition goes through a
-complex Schur factorization: for a (numerically) unitary matrix the Schur
-form is diagonal, so the Schur basis is an orthonormal eigenbasis even at
-exact degeneracies.
+The one-period operator U(T, 0) comes from the propagator's single
+one-period primitive, ``basis_sweep``, which carries every canonical basis
+vector over a drive period for a batch of a2 values; ``monodromy`` and branch
+tracking both use it. Its eigenvalues exp(-i eps T) define quasi-energies
+eps, folded into the principal zone (-omega/2, omega/2]. The eigendecomposition
+goes through a complex Schur factorization: for a (numerically) unitary
+matrix the Schur form is diagonal, so the Schur basis is an orthonormal
+eigenbasis even at exact degeneracies. One eigen step, ``_sorted_modes``,
+sorts and checks the modes of every operator, and mode populations are
+averaged over a period by the propagator's ``period_average``.
 """
 
 from __future__ import annotations
@@ -20,11 +23,7 @@ import scipy.linalg
 
 from .errors import NumericsError, ValidationError
 from .model import SystemSpec
-from .propagator import (
-    DEFAULT_STEPS_PER_PERIOD,
-    _edge_amps,
-    _rk4_advance,
-)
+from .propagator import DEFAULT_STEPS_PER_PERIOD, basis_sweep, period_average
 
 UNITARITY_FAILURE_BOUND = 1e-6
 EIGEN_RESIDUAL_BOUND = 1e-7
@@ -45,9 +44,21 @@ class MonodromyOperator:
         return self.matrix.shape[0]
 
     def unitarity_residual(self) -> float:
-        n = self.dimension
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(gram - np.eye(n))))
+        return _unitarity_residual(self.matrix)
+
+
+def _unitarity_residual(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+
+
+def _check_unitary(u: np.ndarray, where: str = "") -> None:
+    """Raise NumericsError unless U is unitary to UNITARITY_FAILURE_BOUND."""
+    res = _unitarity_residual(u)
+    if not (res <= UNITARITY_FAILURE_BOUND):
+        raise NumericsError(
+            f"one-period operator unitarity residual {res:.3e} exceeds "
+            f"{UNITARITY_FAILURE_BOUND:.0e}{where}; increase steps_per_period"
+        )
 
 
 @dataclass(frozen=True)
@@ -68,22 +79,11 @@ def monodromy(
     spec: SystemSpec, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
 ) -> MonodromyOperator:
     """Assemble U(T, 0) column by column from basis-vector propagation."""
-    n = spec.n_sites
-    y = np.eye(n, dtype=complex)
-    h = spec.period / steps_per_period
-    _rk4_advance(
-        y, _edge_amps(spec, n), spec.omega0, spec.nu0, spec.omega, h,
-        steps_per_period,
-    )
-    op = MonodromyOperator(matrix=y.T.copy(), spec=spec,
-                           steps_per_period=steps_per_period)
-    res = op.unitarity_residual()
-    if res > UNITARITY_FAILURE_BOUND:
-        raise NumericsError(
-            f"one-period operator unitarity residual {res:.3e} exceeds "
-            f"{UNITARITY_FAILURE_BOUND:.0e}; increase steps_per_period"
-        )
-    return op
+    (u,), _ = basis_sweep(spec, [spec.a2], steps_per_period)
+    u = u.copy()
+    _check_unitary(u)
+    return MonodromyOperator(matrix=u, spec=spec,
+                             steps_per_period=steps_per_period)
 
 
 def fold_quasienergy(eigenvalue: complex, omega: float) -> float:
@@ -94,10 +94,27 @@ def fold_quasienergy(eigenvalue: complex, omega: float) -> float:
     return float(eps)
 
 
-def _unitary_eigensystem(matrix: np.ndarray):
-    """(eigenvalues, orthonormal eigenvectors) of a numerically normal matrix."""
-    t, z = scipy.linalg.schur(matrix, output="complex")
-    return np.diag(t).copy(), z
+def _sorted_modes(u: np.ndarray, omega: float, where: str = ""):
+    """(quasi-energies, eigenvectors as rows, eigen residuals) of U.
+
+    Modes come in ascending quasi-energy order (stable on ties). Raises
+    NumericsError when a residual ||U v - lambda v|| exceeds
+    EIGEN_RESIDUAL_BOUND or is not a number.
+    """
+    t, z = scipy.linalg.schur(u, output="complex")
+    lams = np.diag(t)
+    eps = np.array([fold_quasienergy(lam, omega) for lam in lams])
+    order = np.argsort(eps, kind="stable")
+    resid = np.array(
+        [np.linalg.norm(u @ z[:, k] - lams[k] * z[:, k]) for k in order]
+    )
+    worst = resid.max()
+    if not (worst <= EIGEN_RESIDUAL_BOUND):
+        raise NumericsError(
+            f"eigen relation residual {worst:.3e} exceeds "
+            f"{EIGEN_RESIDUAL_BOUND:.0e}{where}"
+        )
+    return eps[order], z[:, order].T, resid
 
 
 def floquet_modes(op: MonodromyOperator) -> list[FloquetMode]:
@@ -106,52 +123,18 @@ def floquet_modes(op: MonodromyOperator) -> list[FloquetMode]:
     Each mode records the eigen relation residual ||U v - lambda v|| and its
     one-period averaged site populations.
     """
-    u = op.matrix
-    lams, vecs = _unitary_eigensystem(u)
-    n = op.dimension
-    eps = np.array([fold_quasienergy(lams[i], op.spec.omega) for i in range(n)])
-    order = np.argsort(eps, kind="stable")
-    modes = []
-    pops = _averaged_populations_batch(op.spec, vecs[:, order].T,
-                                       op.steps_per_period)
-    for rank, idx in enumerate(order):
-        v = vecs[:, idx]
-        residual = float(np.linalg.norm(u @ v - lams[idx] * v))
-        if residual > EIGEN_RESIDUAL_BOUND:
-            raise NumericsError(
-                f"eigen relation residual {residual:.3e} exceeds "
-                f"{EIGEN_RESIDUAL_BOUND:.0e}"
-            )
-        modes.append(
-            FloquetMode(
-                quasienergy=float(eps[idx]),
-                vector=v.copy(),
-                eigen_residual=residual,
-                avg_populations=pops[rank],
-            )
+    eps, vecs, resid = _sorted_modes(op.matrix, op.spec.omega)
+    pops = period_average(op.spec, [op.spec.a2], vecs[np.newaxis],
+                          op.steps_per_period)[0]
+    return [
+        FloquetMode(
+            quasienergy=float(eps[k]),
+            vector=vecs[k].copy(),
+            eigen_residual=float(resid[k]),
+            avg_populations=pops[k],
         )
-    return modes
-
-
-def _averaged_populations_batch(
-    spec: SystemSpec, vectors: np.ndarray, steps_per_period: int
-) -> np.ndarray:
-    """Trapezoid-averaged |a_j(t)|^2 over one period for rows of ``vectors``."""
-    b, n = vectors.shape
-    y = np.array(vectors, dtype=complex)
-    acc = 0.5 * (y.real**2 + y.imag**2)
-
-    def accumulate(i, y):
-        if 0 < i < steps_per_period:
-            np.add(acc, y.real**2 + y.imag**2, out=acc)
-        elif i == steps_per_period:
-            np.add(acc, 0.5 * (y.real**2 + y.imag**2), out=acc)
-
-    h = spec.period / steps_per_period
-    amps = _edge_amps(spec, b)
-    _rk4_advance(y, amps, spec.omega0, spec.nu0, spec.omega, h,
-                 steps_per_period, on_step=accumulate)
-    return acc / steps_per_period
+        for k in range(eps.size)
+    ]
 
 
 def averaged_populations(
@@ -170,9 +153,9 @@ def averaged_populations(
     nrm = float(np.sum(np.abs(vector) ** 2))
     if abs(nrm - 1.0) > 1e-7:
         raise ValidationError("mode vector must be unit norm")
-    return _averaged_populations_batch(
-        spec, vector[np.newaxis, :], steps_per_period
-    )[0]
+    return period_average(
+        spec, [spec.a2], vector[np.newaxis, np.newaxis, :], steps_per_period
+    )[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +199,6 @@ class BranchSet:
     warnings: list[str] = field(default_factory=list)
 
 
-def _detect_vary(specs) -> str:
-    first = specs[0]
-    varying = set()
-    for other in specs[1:]:
-        for name in ("n_sites", "omega0", "nu0", "a1", "a2", "omega"):
-            if getattr(other, name) != getattr(first, name):
-                varying.add(name)
-    if not varying:
-        return "a2"  # degenerate single-point "scan" or identical specs
-    if len(varying) > 1:
-        raise ValidationError(
-            f"specs must vary in exactly one field, found {sorted(varying)}"
-        )
-    return varying.pop()
-
-
 def _best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
     """Match modes across a grid step by maximal eigenvector overlap.
 
@@ -264,83 +231,22 @@ def _best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
     return best_perm, ambiguous
 
 
-def _modes_bulk(specs, steps_per_period: int):
-    """Per-spec quasi-energies, eigenvectors, populations, and residuals.
+def _modes_bulk(base_spec: SystemSpec, a2_values: np.ndarray,
+                steps_per_period: int):
+    """Per-point quasi-energies, eigenvectors, populations, and residuals.
 
-    When the specs share everything but the boundary drive amplitudes, the
-    one-period propagations (columns of every U, then every mode vector) run
-    as a single batched kernel sweep; results are identical to the per-spec
-    path because the kernel arithmetic is row-local.
+    One basis sweep gives every point's U and one period average covers
+    every mode of every point; both are row-local, so results do not depend
+    on how the points are chunked.
     """
-    first = specs[0]
-    n = first.n_sites
-    p = len(specs)
-    eps = np.empty((p, n))
-    vecs = np.empty((p, n, n), dtype=complex)
-    pops = np.empty((p, n, n))
-    resid = np.empty((p, n))
-
-    batchable = all(
-        s.n_sites == n and s.omega0 == first.omega0
-        and s.nu0 == first.nu0 and s.omega == first.omega
-        for s in specs
-    )
-    if not batchable:
-        for i, spec in enumerate(specs):
-            modes = floquet_modes(monodromy(spec, steps_per_period))
-            for k, mode in enumerate(modes):
-                eps[i, k] = mode.quasienergy
-                vecs[i, k] = mode.vector
-                pops[i, k] = mode.avg_populations
-                resid[i, k] = mode.eigen_residual
-        return eps, vecs, pops, resid
-
-    h = first.period / steps_per_period
-    y = np.tile(np.eye(n, dtype=complex), (p, 1))
-    amps = np.empty((p * n, 2))
-    amps[:, 0] = np.repeat([s.a1 for s in specs], n)
-    amps[:, 1] = np.repeat([s.a2 for s in specs], n)
-    _rk4_advance(y, amps, first.omega0, first.nu0, first.omega, h,
-                 steps_per_period)
-    eye = np.eye(n)
-    for i in range(p):
-        u = y[i * n:(i + 1) * n, :].T
-        res = float(np.max(np.abs(u.conj().T @ u - eye)))
-        if res > UNITARITY_FAILURE_BOUND:
-            raise NumericsError(
-                f"one-period operator unitarity residual {res:.3e} exceeds "
-                f"{UNITARITY_FAILURE_BOUND:.0e} at grid point {i}"
-            )
-        lams, z = _unitary_eigensystem(u)
-        point_eps = np.array(
-            [fold_quasienergy(lams[k], specs[i].omega) for k in range(n)]
-        )
-        order = np.argsort(point_eps, kind="stable")
-        for rank, idx in enumerate(order):
-            v = z[:, idx]
-            residual = float(np.linalg.norm(u @ v - lams[idx] * v))
-            if residual > EIGEN_RESIDUAL_BOUND:
-                raise NumericsError(
-                    f"eigen relation residual {residual:.3e} exceeds "
-                    f"{EIGEN_RESIDUAL_BOUND:.0e} at grid point {i}"
-                )
-            eps[i, rank] = point_eps[idx]
-            vecs[i, rank] = v
-            resid[i, rank] = residual
-
-    # every mode of every point averaged in one batched sweep
-    mode_rows = vecs.reshape(p * n, n).copy()
-    acc = 0.5 * (mode_rows.real**2 + mode_rows.imag**2)
-
-    def accumulate(i, yy):
-        if 0 < i < steps_per_period:
-            np.add(acc, yy.real**2 + yy.imag**2, out=acc)
-        elif i == steps_per_period:
-            np.add(acc, 0.5 * (yy.real**2 + yy.imag**2), out=acc)
-
-    _rk4_advance(mode_rows, amps, first.omega0, first.nu0, first.omega, h,
-                 steps_per_period, on_step=accumulate)
-    pops[:] = (acc / steps_per_period).reshape(p, n, n)
+    us, _ = basis_sweep(base_spec, a2_values, steps_per_period)
+    modes = []
+    for i, u in enumerate(us):
+        where = f" at grid point {i}"
+        _check_unitary(u, where)
+        modes.append(_sorted_modes(u, base_spec.omega, where))
+    eps, vecs, resid = (np.array(arrays) for arrays in zip(*modes))
+    pops = period_average(base_spec, a2_values, vecs, steps_per_period)
     return eps, vecs, pops, resid
 
 
@@ -351,7 +257,7 @@ def track_branches(
 ) -> BranchSet:
     """Follow quasi-energy branches across an ordered list of specs.
 
-    The specs must differ in exactly one scalar field along a monotone grid.
+    The specs must differ only in a2, along a strictly monotone grid.
     Modes at consecutive grid points are matched by eigenvector overlap, so
     branches stay continuous through exact crossings where ordering by
     quasi-energy would swap labels. Mode computation for distinct grid
@@ -361,37 +267,36 @@ def track_branches(
     specs = list(specs)
     if not specs:
         raise ValidationError("need at least one spec")
-    vary = _detect_vary(specs)
-    params = np.array([getattr(s, vary) for s in specs], dtype=float)
+    first = specs[0]
+    if any(s.replace(a2=first.a2) != first for s in specs[1:]):
+        raise ValidationError(
+            "specs must vary in exactly one field, and it must be a2"
+        )
+    params = np.array([s.a2 for s in specs], dtype=float)
     if params.size > 1:
         diffs = np.diff(params)
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValidationError(f"{vary} grid must be strictly monotone")
+            raise ValidationError("a2 grid must be strictly monotone")
 
-    n = specs[0].n_sites
+    n = first.n_sites
     p = len(specs)
-    if workers > 1 and p > 1:
+    chunks = np.array_split(params, max(1, min(workers, p)))
+    if len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = np.array_split(np.arange(p), min(workers, p))
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(
-                lambda idx: _modes_bulk([specs[i] for i in idx],
-                                        steps_per_period),
-                chunks,
+                lambda a2: _modes_bulk(first, a2, steps_per_period), chunks
             ))
-        eps = np.concatenate([part[0] for part in parts])
-        vecs = np.concatenate([part[1] for part in parts])
-        pops = np.concatenate([part[2] for part in parts])
-        resid = np.concatenate([part[3] for part in parts])
     else:
-        eps, vecs, pops, resid = _modes_bulk(specs, steps_per_period)
+        parts = [_modes_bulk(first, params, steps_per_period)]
+    eps, vecs, pops, resid = (np.concatenate(arrays) for arrays in zip(*parts))
 
     warnings: list[str] = []
     order = np.arange(n)
     orders = np.empty((p, n), dtype=int)
     orders[0] = order
-    omega = specs[0].omega
+    omega = first.omega
     for i in range(1, p):
         prev = orders[i - 1]
         perm, ambiguous = _best_permutation(
@@ -399,7 +304,7 @@ def track_branches(
         )
         if ambiguous:
             warnings.append(
-                f"ambiguous mode matching at {vary}={params[i]!r}; "
+                f"ambiguous mode matching at a2={params[i]!r}; "
                 "resolved by quasi-energy proximity"
             )
         orders[i] = [perm[k] for k in range(n)]
@@ -416,12 +321,11 @@ def track_branches(
                 vectors=vecs[idx, sel],
                 avg_populations=pops[idx, sel],
                 residuals=resid[idx, sel],
-                vary=vary,
-                base_spec=specs[0],
+                base_spec=first,
                 steps_per_period=steps_per_period,
             )
         )
-    return BranchSet(vary=vary, param_values=params, branches=branches,
+    return BranchSet(vary="a2", param_values=params, branches=branches,
                      warnings=warnings)
 
 
@@ -451,12 +355,10 @@ def _gap_probe(branch_a: Branch, branch_b: Branch, anchor: int, x: float) -> flo
     """
     spec = branch_a.base_spec.replace(**{branch_a.vary: float(x)})
     op = monodromy(spec, branch_a.steps_per_period)
-    lams, vecs = _unitary_eigensystem(op.matrix)
-    eps = np.array([fold_quasienergy(lam, spec.omega) for lam in lams])
-    ov_a = np.abs(vecs.conj().T @ branch_a.vectors[anchor])
-    ov_b = np.abs(vecs.conj().T @ branch_b.vectors[anchor])
+    eps, vecs, _ = _sorted_modes(op.matrix, spec.omega)
+    ov_a = np.abs(vecs.conj() @ branch_a.vectors[anchor])
+    ov_b = np.abs(vecs.conj() @ branch_b.vectors[anchor])
     ia = int(np.argmax(ov_a))
-    ov_b = ov_b.copy()
     ov_b[ia] = -1.0  # the pair must be two distinct modes
     ib = int(np.argmax(ov_b))
     return _circular_gap(float(eps[ia]), float(eps[ib]), spec.omega)

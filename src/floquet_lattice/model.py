@@ -104,6 +104,20 @@ def spec_from_json(text: str) -> SystemSpec:
     )
 
 
+def override_spec_fields(raw: dict, overrides: dict[str, str]) -> dict[str, str]:
+    """Set the spec fields named in ``overrides`` on ``raw``; return the rest."""
+    rest = {}
+    for key, value in overrides.items():
+        if key not in _SPEC_KEYS:
+            rest[key] = value
+            continue
+        try:
+            raw[key] = int(value) if key == "n_sites" else float(value)
+        except ValueError as exc:
+            raise ValidationError(f"bad value for {key}: {value!r}") from exc
+    return rest
+
+
 def spec_to_json(spec: SystemSpec) -> str:
     return json.dumps(spec.to_json_dict(), indent=2, sort_keys=True)
 

@@ -12,6 +12,13 @@ periods factors through the one-period map: a(m T + tau) = V(tau) U^m a(0).
 The folded helpers below exploit that to evaluate long-horizon population
 series and minima at a fraction of the step count; they compose exactly the
 same RK4 one-step maps, so they agree with direct stepping to rounding.
+
+Every one-period quantity goes through one primitive, ``basis_sweep``: it
+propagates the site basis over one period for a batch of a2 values and
+returns the one-period operators U(T, 0). ``monodromy``, ``one_period_table``,
+``propagation_norm_drift`` and branch tracking all call it; the only other
+users of the stepping kernel are ``propagate`` (the direct step loop, kept as
+the reference the folded paths are tested against) and ``period_average``.
 """
 
 from __future__ import annotations
@@ -121,7 +128,7 @@ def _rk4_advance(y, amps, omega0, nu0, omega, h, nsteps, t0=0.0, on_step=None):
     ``on_step(i, y)`` is invoked with the state at sample index i (before the
     i-th step), and once more with (nsteps, y) after the final step. Rows are
     assumed to be unit-norm states; the hard NORM_FAILURE_BOUND is enforced
-    at every step.
+    at every step; a NaN or infinite norm fails it too.
     """
     k1 = np.empty_like(y)
     k2 = np.empty_like(y)
@@ -151,14 +158,14 @@ def _rk4_advance(y, amps, omega0, nu0, omega, h, nsteps, t0=0.0, on_step=None):
         k1 *= h / 6.0
         y += k1
         dev = float(np.max(np.abs(np.sum(y.real**2 + y.imag**2, axis=1) - 1.0)))
+        if not (dev <= NORM_FAILURE_BOUND):
+            raise IntegrationFailure(
+                f"norm drift {dev:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
+                f"at t={t + h!r}; increase steps_per_period",
+                time=t + h,
+            )
         if dev > max_dev:
             max_dev = dev
-            if dev > NORM_FAILURE_BOUND:
-                raise IntegrationFailure(
-                    f"norm drift {dev:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
-                    f"at t={t + h!r}; increase steps_per_period",
-                    time=t + h,
-                )
     if on_step is not None:
         on_step(nsteps, y)
     return max_dev
@@ -169,6 +176,64 @@ def _edge_amps(spec: SystemSpec, batch: int) -> np.ndarray:
     amps[:, 0] = spec.a1
     amps[:, 1] = spec.a2
     return amps
+
+
+def _step_size(spec: SystemSpec, steps_per_period) -> float:
+    """h = T / steps_per_period, after checking steps_per_period."""
+    if (isinstance(steps_per_period, bool)
+            or not isinstance(steps_per_period, (int, np.integer))
+            or steps_per_period < MIN_STEPS_PER_PERIOD):
+        raise ValidationError(
+            f"steps_per_period must be an integer >= {MIN_STEPS_PER_PERIOD}, "
+            f"got {steps_per_period!r}"
+        )
+    return spec.period / steps_per_period
+
+
+def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
+                on_step=None):
+    """Propagate the site basis over one period at every a2 in ``a2_values``.
+
+    The other fields of ``spec`` are shared by all points. Returns the
+    (points, n, n) stack of one-period operators U(T, 0) and the worst norm
+    deviation of any basis image at any step. ``on_step(i, y)`` sees the
+    (points * n, n) batch at every step as in _rk4_advance: rows
+    p*n .. p*n + n - 1 are the images of the n basis states at point p, i.e.
+    U_p transposed.
+    """
+    h = _step_size(spec, steps_per_period)
+    n = spec.n_sites
+    y = np.tile(np.eye(n, dtype=complex), (np.size(a2_values), 1))
+    amps = _edge_amps(spec, y.shape[0])
+    amps[:, 1] = np.repeat(a2_values, n)
+    max_dev = _rk4_advance(y, amps, spec.omega0, spec.nu0, spec.omega, h,
+                           steps_per_period, on_step=on_step)
+    return y.reshape(-1, n, n).transpose(0, 2, 1), max_dev
+
+
+def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
+                   steps_per_period: int) -> np.ndarray:
+    """Trapezoid one-period average of |a_j(t)|^2 starting from ``vectors``.
+
+    ``vectors`` is (points, modes, n); every row of point p evolves at
+    a2_values[p] and the other fields of ``spec``. Returns (points, modes, n).
+    """
+    h = _step_size(spec, steps_per_period)
+    p, m, n = vectors.shape
+    y = np.array(vectors, dtype=complex).reshape(p * m, n)
+    acc = 0.5 * (y.real**2 + y.imag**2)
+
+    def accumulate(i, yy):
+        if 0 < i < steps_per_period:
+            np.add(acc, yy.real**2 + yy.imag**2, out=acc)
+        elif i == steps_per_period:
+            np.add(acc, 0.5 * (yy.real**2 + yy.imag**2), out=acc)
+
+    amps = _edge_amps(spec, p * m)
+    amps[:, 1] = np.repeat(a2_values, m)
+    _rk4_advance(y, amps, spec.omega0, spec.nu0, spec.omega, h,
+                 steps_per_period, on_step=accumulate)
+    return (acc / steps_per_period).reshape(p, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +267,9 @@ def propagate(
         )
     if t_final <= initial.time:
         raise ValidationError("t_final must exceed the initial time")
-    if steps_per_period < MIN_STEPS_PER_PERIOD:
-        raise ValidationError(
-            f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}"
-        )
+    h = _step_size(spec, steps_per_period)
     if stride < 1:
         raise ValidationError("stride must be >= 1")
-    h = spec.period / steps_per_period
     nsteps = max(1, int(round((t_final - initial.time) / h)))
     if nsteps % stride != 0:
         raise ValidationError(
@@ -299,28 +360,17 @@ def one_period_table(
     """Propagate the full basis over one period for many a2 values at once."""
     n = base_spec.n_sites
     col = _check_site(n, site)
-    a2_values = np.asarray(a2_values, dtype=float)
-    b = a2_values.size
-    y = np.tile(np.eye(n, dtype=complex), (b, 1))
-    amps = np.empty((b * n, 2))
-    amps[:, 0] = base_spec.a1
-    amps[:, 1] = np.repeat(a2_values, n)
-    h = base_spec.period / steps_per_period
+    b = np.size(a2_values)
+    _step_size(base_spec, steps_per_period)  # checked before it sizes rows
     rows = np.empty((steps_per_period + 1, b, n), dtype=complex)
 
     def collect(i, y):
         rows[i] = y[:, col].reshape(b, n)
 
-    max_dev = _rk4_advance(
-        y, amps, base_spec.omega0, base_spec.nu0, base_spec.omega, h,
-        steps_per_period, on_step=collect,
-    )
-    # Rows of each n-block are the images of basis states, i.e. U transposed.
-    monodromies = np.empty((b, n, n), dtype=complex)
-    for i in range(b):
-        monodromies[i] = y[i * n:(i + 1) * n, :].T
+    monodromies, max_dev = basis_sweep(base_spec, a2_values, steps_per_period,
+                                       on_step=collect)
     return PeriodTable(
-        monodromies=monodromies,
+        monodromies=monodromies.copy(),
         site_rows=rows,
         steps_per_period=steps_per_period,
         period=base_spec.period,
@@ -328,15 +378,24 @@ def one_period_table(
     )
 
 
-def _period_starts(u: np.ndarray, a0: np.ndarray, periods: int) -> np.ndarray:
-    """Columns w_m = U^m a0 for m = 0..periods-1, plus the final w_periods."""
+def _period_starts(u: np.ndarray, a0: np.ndarray, periods: int,
+                   period: float) -> tuple[np.ndarray, float]:
+    """(columns w_m = U^m a0 for m = 0..periods, their worst norm drift);
+    a drift above NORM_FAILURE_BOUND, or NaN, raises IntegrationFailure."""
     n = a0.size
     w = np.empty((n, periods + 1), dtype=complex)
     cur = a0.astype(complex)
     for m in range(periods + 1):
         w[:, m] = cur
         cur = u @ cur
-    return w
+    drift = float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
+    if not (drift <= NORM_FAILURE_BOUND):
+        raise IntegrationFailure(
+            f"norm drift {drift:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
+            "across periods; increase steps_per_period",
+            time=periods * period,
+        )
+    return w, drift
 
 
 def folded_min_population(
@@ -348,15 +407,8 @@ def folded_min_population(
     one-period map instead of re-stepping every period. The sample set covers
     every integrator step from t=0 through t = periods * T inclusive.
     """
-    u = table.monodromies[point]
-    w = _period_starts(u, initial, periods)
-    drift = float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
-    if drift > NORM_FAILURE_BOUND:
-        raise IntegrationFailure(
-            f"norm drift {drift:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
-            "across periods; increase steps_per_period",
-            time=periods * table.period,
-        )
+    w, drift = _period_starts(table.monodromies[point], initial, periods,
+                              table.period)
     p = np.abs(table.site_rows[:, point, :] @ w[:, :periods]) ** 2
     return float(p.min()), max(drift, table.max_norm_deviation)
 
@@ -378,15 +430,8 @@ def folded_population_series(
         raise ValidationError(f"stride {stride} must divide {spp}")
     if periods < 1:
         raise ValidationError("periods must be >= 1")
-    u = table.monodromies[point]
-    w = _period_starts(u, initial, periods)
-    drift = float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
-    if drift > NORM_FAILURE_BOUND:
-        raise IntegrationFailure(
-            f"norm drift {drift:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
-            "across periods; increase steps_per_period",
-            time=periods * table.period,
-        )
+    w, _ = _period_starts(table.monodromies[point], initial, periods,
+                          table.period)
     rows = table.site_rows[::stride, point, :]      # (spp/stride + 1, n)
     amp = rows[:-1] @ w[:, :periods]                # (s, m) samples
     pops = np.abs(amp) ** 2
@@ -411,23 +456,19 @@ def propagation_norm_drift(
 
     Uses the folded decomposition with the full one-period state table, so
     the check covers each intra-period sample of each period without
-    re-stepping the whole horizon.
+    re-stepping the whole horizon. Like ``propagate`` over the same horizon,
+    it raises IntegrationFailure once the drift passes NORM_FAILURE_BOUND.
     """
     n = spec.n_sites
-    y = np.eye(n, dtype=complex)
-    h = spec.period / steps_per_period
+    _step_size(spec, steps_per_period)  # checked before it sizes tables
     tables = np.empty((steps_per_period + 1, n, n), dtype=complex)
 
     def collect(i, y):
         tables[i] = y
 
-    _rk4_advance(
-        y, _edge_amps(spec, n), spec.omega0, spec.nu0, spec.omega, h,
-        steps_per_period, on_step=collect,
-    )
-    u = tables[-1].T
+    (u,), _ = basis_sweep(spec, [spec.a2], steps_per_period, on_step=collect)
     a0 = basis_state(n, initial_site).amplitudes
-    w = _period_starts(u, a0, periods)
+    w, _ = _period_starts(u, a0, periods, spec.period)
     # a(m T + tau_s) = tables[s]^T w_m; norms over the whole (s, m) grid.
     states = np.matmul(tables.transpose(0, 2, 1), w[:, :periods])
     norms = np.sum(states.real**2 + states.imag**2, axis=1)

@@ -79,6 +79,13 @@ def test_propagate_validation_error_names_field(tmp_path, spec_file, capsys):
     assert "omega" in capsys.readouterr().err
 
 
+def test_propagate_bad_override_value(tmp_path, spec_file, capsys):
+    code = main(["propagate", "--config", str(spec_file), "--set", "a2=abc",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "a2" in capsys.readouterr().err
+
+
 def test_propagate_missing_config(tmp_path, capsys):
     assert main(["propagate", "--out", str(tmp_path)]) == 1
     assert "--config" in capsys.readouterr().err
@@ -93,6 +100,22 @@ def test_propagate_numerical_failure_exit_code(tmp_path):
     code = main(["propagate", "--config", str(bad), "--periods", "1",
                  "--steps-per-period", "100", "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+def test_propagate_non_finite_state_exit_code(tmp_path, spec_file):
+    code = main(["propagate", "--config", str(spec_file), "--set", "a1=1e308",
+                 "--periods", "1", "--steps-per-period", "100",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_floquet_rejects_bad_steps_per_period(tmp_path, spec_file, capsys):
+    code = main(["floquet", "--config", str(spec_file),
+                 "--steps-per-period", "0", "--out", str(tmp_path / "fl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "steps_per_period" in err
 
 
 def test_floquet_modes_csv(tmp_path, spec_file):

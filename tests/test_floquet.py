@@ -6,6 +6,8 @@ import scipy.linalg
 
 from floquet_lattice import (
     Branch,
+    IntegrationFailure,
+    NumericsError,
     SystemSpec,
     ValidationError,
     averaged_populations,
@@ -16,6 +18,7 @@ from floquet_lattice import (
     monodromy,
     track_branches,
 )
+from floquet_lattice.propagator import one_period_table
 
 from helpers import circular_match, fold_into_zone, static_eigenvalues
 
@@ -167,6 +170,52 @@ def test_track_branches_detects_field_errors():
         track_branches([s, s.replace(a2=1.0, a1=2.0)], 500)
     with pytest.raises(ValidationError, match="monotone"):
         track_branches([s, s.replace(a2=2.0), s.replace(a2=1.0)], 500)
+
+
+@pytest.mark.parametrize("change", [{"omega": 11.0}, {"nu0": 0.1},
+                                    {"a1": 20.0}])
+def test_track_branches_follows_a2_scans_only(change):
+    # a scan in any field but a2 is refused, even when a2 stays fixed
+    s = spec_n(3, a2=1.0)
+    with pytest.raises(ValidationError, match="exactly one"):
+        track_branches([s, s.replace(**change)], 500)
+
+
+def test_track_branches_equals_per_point_modes():
+    spp = 1000
+    specs = [spec_n(4, nu0=0.2, a2=float(r * 10.0))
+             for r in np.linspace(2.0, 2.6, 5)]
+    branches = track_branches(specs, spp).branches
+    for i, spec in enumerate(specs):
+        modes = floquet_modes(monodromy(spec, spp))
+        eps = np.array([b.quasienergies[i] for b in branches])
+        order = np.argsort(eps, kind="stable")
+        assert np.array_equal(eps[order], [m.quasienergy for m in modes])
+        assert np.array_equal(np.array([b.vectors[i] for b in branches])[order],
+                              [m.vector for m in modes])
+        assert np.array_equal(
+            np.array([b.avg_populations[i] for b in branches])[order],
+            [m.avg_populations for m in modes])
+
+
+@pytest.mark.parametrize("steps", [0, 99, 500.0, True])
+def test_one_period_paths_reject_bad_steps_per_period(steps):
+    spec = spec_n(3)
+    with pytest.raises(ValidationError, match="steps_per_period"):
+        monodromy(spec, steps)
+    with pytest.raises(ValidationError, match="steps_per_period"):
+        one_period_table(spec, [0.0, 1.0], steps)
+    with pytest.raises(ValidationError, match="steps_per_period"):
+        track_branches([spec, spec.replace(a2=1.0)], steps)
+    with pytest.raises(ValidationError, match="steps_per_period"):
+        averaged_populations(spec, np.array([1.0, 0.0, 0.0], dtype=complex),
+                             steps)
+
+
+def test_non_finite_operator_raises_package_error():
+    spec = spec_n(3, a1=1e308)
+    with pytest.raises((IntegrationFailure, NumericsError)):
+        floquet_modes(monodromy(spec, 100))
 
 
 def _flat_branch(bid, value, params):

@@ -174,6 +174,15 @@ def test_integration_failure_carries_time():
     assert err.value.time > 0.0
 
 
+def test_non_finite_norm_fails_the_step_gate():
+    # cos(omega t) * 1e308 overflows to inf and the state to NaN, which a
+    # `dev > bound` test would let through
+    spec = spec3(a1=1e308)
+    with pytest.raises(IntegrationFailure):
+        propagate(spec, basis_state(3, 1), t_final=spec.period,
+                  steps_per_period=100)
+
+
 def test_min_population_site_errors():
     spec = spec3()
     traj = propagate(spec, basis_state(3, 1), t_final=spec.period,
@@ -244,3 +253,10 @@ def test_norm_drift_report_matches_direct():
                        steps_per_period=500, stride=100)
     reported = propagation_norm_drift(spec, periods=5, steps_per_period=500)
     assert reported == pytest.approx(direct.max_norm_deviation, abs=1e-11)
+
+
+def test_norm_drift_report_fails_where_direct_would():
+    # 5e-7 drift per period at 150 steps passes the 1e-6 bound within a few
+    # periods; propagate would raise there too
+    with pytest.raises(IntegrationFailure, match="across periods"):
+        propagation_norm_drift(spec3(), periods=400, steps_per_period=150)
