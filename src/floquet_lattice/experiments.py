@@ -316,20 +316,28 @@ def figure_config(figure_id: str) -> dict:
     return json.loads(text)
 
 
+# Recipe keys an override may set: key -> (section or None, field, type).
+_RECIPE_FIELDS = {
+    "horizon_periods": (None, "horizon_periods", int),
+    "steps_per_period": (None, "steps_per_period", int),
+    "initial_site": (None, "initial_site", int),
+    "grid_start": ("grid", "start", float),
+    "grid_stop": ("grid", "stop", float),
+    "grid_points": ("grid", "points", int),
+}
+
+
 def _apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
     """Apply key=value overrides to a figure recipe, after file load."""
     raw = json.loads(json.dumps(raw))  # deep copy
     for key, value in override_spec_fields(raw["spec"], overrides).items():
-        if key in ("horizon_periods", "steps_per_period", "initial_site"):
-            raw[key] = int(value)
-        elif key == "grid_start":
-            raw["grid"]["start"] = float(value)
-        elif key == "grid_stop":
-            raw["grid"]["stop"] = float(value)
-        elif key == "grid_points":
-            raw["grid"]["points"] = int(value)
-        else:
+        if key not in _RECIPE_FIELDS:
             raise ValidationError(f"unknown override key {key!r}")
+        section, name, kind = _RECIPE_FIELDS[key]
+        try:
+            (raw[section] if section else raw)[name] = kind(value)
+        except ValueError as exc:
+            raise ValidationError(f"bad value for {key}: {value!r}") from exc
     return raw
 
 

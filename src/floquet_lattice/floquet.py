@@ -112,7 +112,7 @@ def _sorted_modes(u: np.ndarray, omega: float, where: str = ""):
     if not (worst <= EIGEN_RESIDUAL_BOUND):
         raise NumericsError(
             f"eigen relation residual {worst:.3e} exceeds "
-            f"{EIGEN_RESIDUAL_BOUND:.0e}{where}"
+            f"{EIGEN_RESIDUAL_BOUND:.0e}{where}; increase steps_per_period"
         )
     return eps[order], z[:, order].T, resid
 

@@ -1,11 +1,7 @@
 """Time-domain propagation of i da/dt = H(t) a.
 
 The integrator is a fixed-step classical Runge-Kutta (4th order) with the
-step tied to the drive period, h = T / steps_per_period. States are rows of
-a (batch, n_sites) array so independent systems (scan points, basis columns)
-advance in lockstep. Every per-row arithmetic path is slice-based and
-batch-size independent, which makes results bitwise identical no matter how
-a workload is chunked across workers.
+step tied to the drive period, h = T / steps_per_period.
 
 Because H is T-periodic and steps are period-commensurate, a horizon of M
 periods factors through the one-period map: a(m T + tau) = V(tau) U^m a(0).
@@ -13,12 +9,27 @@ The folded helpers below exploit that to evaluate long-horizon population
 series and minima at a fraction of the step count; they compose exactly the
 same RK4 one-step maps, so they agree with direct stepping to rounding.
 
-Every one-period quantity goes through one primitive, ``basis_sweep``: it
-propagates the site basis over one period for a batch of a2 values and
-returns the one-period operators U(T, 0). ``monodromy``, ``one_period_table``,
-``propagation_norm_drift`` and branch tracking all call it; the only other
-users of the stepping kernel are ``propagate`` (the direct step loop, kept as
-the reference the folded paths are tested against) and ``period_average``.
+Every one-period quantity goes through the step-matrix kernel. The equation
+is linear, so one RK4 step is multiplication by a fixed n x n matrix R_k, the
+RK4 stability polynomial of the step. Only H's (N, N) entry depends on a2,
+so R_k(a2) = sum_j a2^j C_kj, j = 0..4, with coefficients shared by every
+scan point. ``_sweep`` carries a (points, k, n) stack of row states over
+one period: per block of steps it builds the coefficients, evaluates every
+point's R_k by Horner's rule and applies them with one ``np.matmul`` per
+step; the norm gate reads the norms of a block's states in one reduction.
+Each buffer it allocates (a block's coefficients, step matrices or states)
+is sized from one byte budget, CHUNK_BYTES, so memory stays flat in the
+step count and the batch width. A point's result is the same for any
+batch size: its arithmetic is elementwise or one matrix product of its own,
+and the coefficient blocks depend on n and the step count alone. That is
+what makes worker-count invariance exact.
+
+``basis_sweep`` starts the sweep from the site basis and returns the
+one-period operators U(T, 0); ``monodromy``, ``one_period_table``,
+``propagation_norm_drift`` and branch tracking call it. ``period_average``
+starts it from mode vectors. ``propagate`` keeps the direct step loop
+(``_rk4_advance``, row states advanced by slice arithmetic) as the
+independent reference the kernel and the folded paths are tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, ValidationError
-from .model import SystemSpec
+from .model import SystemSpec, static_hamiltonian
 
 # Hard failure bound on |sum_j |a_j|^2 - 1| during stepping. Exceeding it
 # means the step size is too coarse for the drive amplitude in play.
@@ -40,6 +51,10 @@ STATE_NORM_TOL = 1e-9
 
 DEFAULT_STEPS_PER_PERIOD = 2000
 MIN_STEPS_PER_PERIOD = 100
+
+# Byte budget of each buffer of the step-matrix kernel: a block's step
+# coefficients, and its step matrices and states at every point.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -190,25 +205,158 @@ def _step_size(spec: SystemSpec, steps_per_period) -> float:
     return spec.period / steps_per_period
 
 
+# ---------------------------------------------------------------------------
+# Step-matrix kernel
+
+
+def _step_coefficients(spec: SystemSpec, h: float, t: np.ndarray,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """(5, L, n, n) transposed coefficients C_j^T of the steps starting at t.
+
+    One RK4 step of the linear equation da/dt = A(t) a, A = -i H, maps a to
+    R a with
+
+        R = I + h/6 (A0 + 2 K2 + 2 K3 + K4),  K2 = Am (I + h/2 A0),
+        K3 = Am (I + h/2 K2),  K4 = A1 (I + h K3),
+
+    A0, Am, A1 taken at t, t + h/2, t + h. A = M + c (P + a2 Q) with
+    M = -i H0 and the one-entry drive matrices P (-i a1 at site 1) and Q
+    (-i at site N), so R = sum_j a2^j C_j, j = 0..4, with coefficients
+    shared by every scan point. They are built transposed, as rows act:
+    (A X)^T = X^T M^T + c X^T (P + a2 Q) is one matrix product over the
+    whole block plus two column updates. ``work`` is (3, >= 5 L n n)
+    scratch; the result is a view of work[0].
+    """
+    n, steps = spec.n_sites, t.size
+    size = 5 * steps * n * n
+    if work is None:
+        work = np.empty((3, size), dtype=complex)
+    acc, x, y = (buf[:size].reshape(5, steps, n, n) for buf in work)
+    mt = -1j * static_hamiltonian(spec).T
+    eye = np.eye(n)
+
+    def a_times(src, dst, c):
+        d = src.shape[0]
+        np.matmul(src.reshape(-1, n), mt, out=dst[:d].reshape(-1, n))
+        dst[d] = 0.0
+        dst[:d, :, :, 0] += src[..., 0] * ((-1j * spec.a1) * c)[:, np.newaxis]
+        dst[1:d + 1, :, :, -1] += src[..., -1] * (-1j * c)[:, np.newaxis]
+        return dst[:d + 1]
+
+    w = spec.omega
+    c_mid = np.cos(w * (t + 0.5 * h))
+    x[0] = eye
+    k = a_times(x[:1], y, np.cos(w * t))
+    acc[:2] = k
+    acc[2:] = 0.0
+    for dst, c, scale in ((x, c_mid, 0.5 * h), (y, c_mid, 0.5 * h),
+                          (x, np.cos(w * (t + h)), h)):
+        k *= scale
+        k[0] += eye
+        k = a_times(k, dst, c)
+        d = k.shape[0]
+        acc[:d] += k
+        if d < 5:  # K2 and K3 enter twice
+            acc[:d] += k
+    acc *= h / 6.0
+    acc[0] += eye
+    return acc
+
+
+def _step_matrices(coef: np.ndarray, a2: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """sum_j a2^j coef[j] for every step of ``coef`` and every a2, into
+    ``out`` (L, points, n, n).
+
+    Horner's rule on the real and imaginary parts: the same elementwise
+    operations for every point, whatever the batch size.
+    """
+    cf = coef.view(np.float64)[:, :, np.newaxis]
+    rf = out.view(np.float64)
+    x = a2.reshape(1, -1, 1, 1)
+    np.multiply(cf[4], x, out=rf)
+    for j in (3, 2, 1):
+        rf += cf[j]
+        rf *= x
+    rf += cf[0]
+    return out
+
+
+def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
+           on_chunk=None):
+    """Carry the (points, k, n) row states ``y0`` over one period.
+
+    Point p evolves at a2_values[p] and the other fields of ``spec``. Steps
+    go in blocks: the coefficients of a block of steps (blocks fixed by n
+    and the step count alone), then, per sub-block of steps, the transposed
+    step matrices of every point by Horner's rule and one ``np.matmul`` per
+    step over the points. Every buffer is sized from CHUNK_BYTES. The norm
+    gate reads the norms of every state of a sub-block in one reduction; the
+    first failing step raises IntegrationFailure with its time.
+
+    ``on_chunk(first, states)`` sees the states at sample indices first,
+    first + 1, ... as a (samples, points, k, n) array: once with the initial
+    states (first = 0), then after every sub-block. The array is reused, so
+    the callback copies what it keeps. Returns (final states, worst norm
+    deviation of any state at any step).
+    """
+    h = _step_size(spec, steps_per_period)
+    a2 = np.asarray(a2_values, dtype=float).reshape(-1)
+    cur = np.array(y0, dtype=complex)
+    p, k, n = cur.shape
+    if on_chunk is not None:
+        on_chunk(0, cur[np.newaxis])
+    coef_steps = max(1, CHUNK_BYTES // (5 * 16 * n * n))
+    work = np.empty((3, 5 * coef_steps * n * n), dtype=complex)
+    block = max(1, min(coef_steps,
+                       CHUNK_BYTES // (16 * max(p, 1) * n * max(n, k))))
+    rbuf = np.empty((block, p, n, n), dtype=complex)
+    states = np.empty((block, p, k, n), dtype=complex)
+    max_dev = 0.0
+    for c0 in range(0, steps_per_period, coef_steps):
+        c1 = min(c0 + coef_steps, steps_per_period)
+        coef = _step_coefficients(spec, h, np.arange(c0, c1) * h, work)
+        for s0 in range(c0, c1, block):
+            count = min(block, c1 - s0)
+            r = _step_matrices(coef[:, s0 - c0:s0 - c0 + count], a2,
+                               rbuf[:count])
+            y = states[:count]
+            prev = cur
+            for i in range(count):
+                np.matmul(prev, r[i], out=y[i])
+                prev = y[i]
+            cur[...] = prev
+            norms = np.sum(y.real**2 + y.imag**2, axis=-1)
+            dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
+            bad = ~(dev <= NORM_FAILURE_BOUND)
+            if bad.any():
+                i = int(np.argmax(bad))
+                t = (s0 + i) * h
+                raise IntegrationFailure(
+                    f"norm drift {dev[i]:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
+                    f"at t={t + h!r}; increase steps_per_period",
+                    time=t + h,
+                )
+            max_dev = max(max_dev, float(dev.max()))
+            if on_chunk is not None:
+                on_chunk(s0 + 1, y)
+    return cur, max_dev
+
+
 def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
-                on_step=None):
+                on_chunk=None):
     """Propagate the site basis over one period at every a2 in ``a2_values``.
 
     The other fields of ``spec`` are shared by all points. Returns the
     (points, n, n) stack of one-period operators U(T, 0) and the worst norm
-    deviation of any basis image at any step. ``on_step(i, y)`` sees the
-    (points * n, n) batch at every step as in _rk4_advance: rows
-    p*n .. p*n + n - 1 are the images of the n basis states at point p, i.e.
-    U_p transposed.
+    deviation of any basis image at any step. ``on_chunk`` is as in
+    ``_sweep``: row j of point p's state is the image of basis state j,
+    i.e. the states are U(t_s, 0) transposed.
     """
-    h = _step_size(spec, steps_per_period)
     n = spec.n_sites
-    y = np.tile(np.eye(n, dtype=complex), (np.size(a2_values), 1))
-    amps = _edge_amps(spec, y.shape[0])
-    amps[:, 1] = np.repeat(a2_values, n)
-    max_dev = _rk4_advance(y, amps, spec.omega0, spec.nu0, spec.omega, h,
-                           steps_per_period, on_step=on_step)
-    return y.reshape(-1, n, n).transpose(0, 2, 1), max_dev
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
+    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, on_chunk)
+    return y.transpose(0, 2, 1), max_dev
 
 
 def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
@@ -218,22 +366,17 @@ def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
     ``vectors`` is (points, modes, n); every row of point p evolves at
     a2_values[p] and the other fields of ``spec``. Returns (points, modes, n).
     """
-    h = _step_size(spec, steps_per_period)
-    p, m, n = vectors.shape
-    y = np.array(vectors, dtype=complex).reshape(p * m, n)
-    acc = 0.5 * (y.real**2 + y.imag**2)
+    acc = np.zeros(np.shape(vectors))
 
-    def accumulate(i, yy):
-        if 0 < i < steps_per_period:
-            np.add(acc, yy.real**2 + yy.imag**2, out=acc)
-        elif i == steps_per_period:
-            np.add(acc, 0.5 * (yy.real**2 + yy.imag**2), out=acc)
+    def accumulate(first, states):
+        for i, pop in enumerate(states.real**2 + states.imag**2, first):
+            if 0 < i < steps_per_period:
+                np.add(acc, pop, out=acc)
+            else:
+                np.add(acc, 0.5 * pop, out=acc)
 
-    amps = _edge_amps(spec, p * m)
-    amps[:, 1] = np.repeat(a2_values, m)
-    _rk4_advance(y, amps, spec.omega0, spec.nu0, spec.omega, h,
-                 steps_per_period, on_step=accumulate)
-    return (acc / steps_per_period).reshape(p, m, n)
+    _sweep(spec, a2_values, vectors, steps_per_period, on_chunk=accumulate)
+    return acc / steps_per_period
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +507,11 @@ def one_period_table(
     _step_size(base_spec, steps_per_period)  # checked before it sizes rows
     rows = np.empty((steps_per_period + 1, b, n), dtype=complex)
 
-    def collect(i, y):
-        rows[i] = y[:, col].reshape(b, n)
+    def collect(first, states):
+        rows[first:first + len(states)] = states[..., col]
 
     monodromies, max_dev = basis_sweep(base_spec, a2_values, steps_per_period,
-                                       on_step=collect)
+                                       on_chunk=collect)
     return PeriodTable(
         monodromies=monodromies.copy(),
         site_rows=rows,
@@ -463,10 +606,10 @@ def propagation_norm_drift(
     _step_size(spec, steps_per_period)  # checked before it sizes tables
     tables = np.empty((steps_per_period + 1, n, n), dtype=complex)
 
-    def collect(i, y):
-        tables[i] = y
+    def collect(first, states):
+        tables[first:first + len(states)] = states[:, 0]
 
-    (u,), _ = basis_sweep(spec, [spec.a2], steps_per_period, on_step=collect)
+    (u,), _ = basis_sweep(spec, [spec.a2], steps_per_period, on_chunk=collect)
     a0 = basis_state(n, initial_site).amplitudes
     w, _ = _period_starts(u, a0, periods, spec.period)
     # a(m T + tau_s) = tables[s]^T w_m; norms over the whole (s, m) grid.

@@ -86,6 +86,16 @@ def test_propagate_bad_override_value(tmp_path, spec_file, capsys):
     assert "a2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["grid_points=abc", "grid_start=x",
+                                      "horizon_periods=1.5"])
+def test_reproduce_bad_recipe_override_value(tmp_path, capsys, override):
+    code = main(["reproduce", "fig3", "--set", override,
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and override.split("=")[0] in err
+
+
 def test_propagate_missing_config(tmp_path, capsys):
     assert main(["propagate", "--out", str(tmp_path)]) == 1
     assert "--config" in capsys.readouterr().err

@@ -218,6 +218,15 @@ def test_non_finite_operator_raises_package_error():
         floquet_modes(monodromy(spec, 100))
 
 
+def test_eigen_gate_names_the_remedy():
+    # at 500 steps a fig2 operator passes the 1e-6 unitarity gate but not
+    # the 1e-7 eigen-residual gate; both errors name the same remedy
+    op = monodromy(spec_n(3, a2=60.0), 500)
+    assert op.unitarity_residual() <= 1e-6
+    with pytest.raises(NumericsError, match="increase steps_per_period"):
+        floquet_modes(op)
+
+
 def _flat_branch(bid, value, params):
     p = len(params)
     return Branch(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floquet_lattice import (
     IntegrationFailure,
@@ -16,9 +17,15 @@ from floquet_lattice import (
     site_population_series,
 )
 from floquet_lattice.propagator import (
+    _edge_amps,
+    _rk4_advance,
+    _step_coefficients,
+    _step_matrices,
+    basis_sweep,
     folded_min_population,
     folded_population_series,
     one_period_table,
+    period_average,
 )
 
 
@@ -204,7 +211,7 @@ def test_kernel_matches_hamiltonian_matrix():
     # the slice-based stepping kernel and the reference matrix assembly
     # must describe the same H(t)
     from floquet_lattice.model import hamiltonian_at
-    from floquet_lattice.propagator import _edge_amps, _rhs
+    from floquet_lattice.propagator import _rhs
 
     rng = np.random.default_rng(13)
     spec = SystemSpec(n_sites=5, omega0=0.7, nu0=0.31, a1=7.0, a2=-3.0,
@@ -260,3 +267,92 @@ def test_norm_drift_report_fails_where_direct_would():
     # periods; propagate would raise there too
     with pytest.raises(IntegrationFailure, match="across periods"):
         propagation_norm_drift(spec3(), periods=400, steps_per_period=150)
+
+
+# --- the step-matrix kernel agrees with the direct step loop ---
+
+
+def _direct_basis(spec, a2_values, spp):
+    """One-period operators from the direct RK4 loop over basis rows."""
+    n = spec.n_sites
+    y = np.tile(np.eye(n, dtype=complex), (len(a2_values), 1))
+    amps = _edge_amps(spec, y.shape[0])
+    amps[:, 1] = np.repeat(a2_values, n)
+    _rk4_advance(y, amps, spec.omega0, spec.nu0, spec.omega,
+                 spec.period / spp, spp)
+    return y.reshape(-1, n, n).transpose(0, 2, 1)
+
+
+def test_step_matrix_is_one_rk4_step():
+    rng = np.random.default_rng(17)
+    spec = SystemSpec(n_sites=5, omega0=0.7, nu0=0.31, a1=7.0, a2=-3.0,
+                      omega=4.0)
+    h = spec.period / 500
+    t = rng.uniform(0, 20, size=10)
+    # both sides hold basis images as rows, i.e. R_k transposed
+    r = _step_matrices(_step_coefficients(spec, h, t), np.array([spec.a2]),
+                       np.empty((t.size, 1, 5, 5), dtype=complex))
+    for k, tk in enumerate(t):
+        y = np.eye(5, dtype=complex)
+        _rk4_advance(y, _edge_amps(spec, 5), spec.omega0, spec.nu0,
+                     spec.omega, h, 1, t0=tk)
+        assert np.max(np.abs(r[k, 0] - y)) < 1e-15
+
+
+@pytest.mark.parametrize("n_sites, nu0", [(3, 0.0), (4, 0.2), (6, 0.0),
+                                          (8, 0.0)])
+def test_basis_sweep_matches_direct_loop(n_sites, nu0):
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=22.0, a2=0.0,
+                      omega=10.0)
+    a2 = [0.0, 24.0, 57.5]
+    u, dev = basis_sweep(spec, a2, 2000)
+    assert np.max(np.abs(u - _direct_basis(spec, a2, 2000))) <= 1e-12
+    assert dev < 1e-9
+
+
+def test_sweeps_are_batch_invariant():
+    spec = SystemSpec(n_sites=4, omega0=1.0, nu0=0.2, a1=22.0, a2=0.0,
+                      omega=10.0)
+    a2 = np.linspace(0.0, 60.0, 7)
+    u, _ = basis_sweep(spec, a2, 1000)
+    singles = [basis_sweep(spec, [x], 1000)[0][0] for x in a2]
+    assert np.array_equal(u, singles)
+    vecs = np.linalg.qr(u)[0].transpose(0, 2, 1).copy()
+    pops = period_average(spec, a2, vecs, 1000)
+    for p, x in enumerate(a2):
+        assert np.array_equal(pops[p],
+                              period_average(spec, [x], vecs[p:p + 1], 1000)[0])
+
+
+def test_norm_gate_fails_at_the_direct_loop_step():
+    spec = SystemSpec(n_sites=2, omega0=1.0, nu0=0.0, a1=0.0, a2=600.0,
+                      omega=10.0)
+    with pytest.raises(IntegrationFailure) as direct:
+        _direct_basis(spec, [spec.a2], 100)
+    with pytest.raises(IntegrationFailure) as kernel:
+        basis_sweep(spec, [spec.a2], 100)
+    assert kernel.value.time == direct.value.time > 0.0
+
+
+def test_non_finite_step_matrices_fail_the_gate():
+    with pytest.raises(IntegrationFailure):
+        basis_sweep(spec3(a1=1e308), [0.0], 100)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(2, 6),
+    omega=st.floats(5.0, 20.0),
+    omega0=st.floats(0.1, 2.0),
+    nu0=st.floats(0.0, 0.5),
+    r1=st.floats(-2.0, 2.0),
+    r2=st.floats(-2.0, 2.0),
+)
+def test_basis_sweep_unitary_and_direct(n_sites, omega, omega0, nu0, r1, r2):
+    # drive amplitudes up to twice omega at 2000 steps keep the RK4 norm
+    # error of a period near 1e-11, well inside the gates
+    spec = SystemSpec(n_sites=n_sites, omega0=omega0, nu0=nu0, a1=r1 * omega,
+                      a2=r2 * omega, omega=omega)
+    (u,), _ = basis_sweep(spec, [spec.a2], 2000)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n_sites))) <= 1e-9
+    assert np.max(np.abs(u - _direct_basis(spec, [spec.a2], 2000)[0])) <= 1e-12
