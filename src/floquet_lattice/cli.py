@@ -134,17 +134,23 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+    """--workers, else $FLOQUET_LATTICE_WORKERS, else the CPU count; a value
+    below 1 is a validation error."""
+    if args.workers is not None:
+        value, source = args.workers, "--workers"
+    else:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            value, source = int(env), WORKERS_ENV
         except ValueError as exc:
             raise ValidationError(
                 f"{WORKERS_ENV} must be an integer, got {env!r}"
             ) from exc
-    return os.cpu_count() or 1
+    if value < 1:
+        raise ValidationError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _cmd_propagate(args) -> int:
@@ -214,15 +220,16 @@ def _scan_config(args, spec: SystemSpec, initial_site: int = 1) -> ScanConfig:
 def _cmd_scan_minp1(args) -> int:
     spec = _load_spec(args)
     config = _scan_config(args, spec, args.initial_site)
+    workers = _workers(args)
     started = time.perf_counter()
-    result = scan_min_p1(config, workers=_workers(args))
+    result = scan_min_p1(config, workers=workers)
     args.out.mkdir(parents=True, exist_ok=True)
     csvio.write_min_p1_scan(args.out / "minp1.csv", result.ratios, result.min_p1)
     write_manifest(args.out, {
         "command": "scan-minp1",
         **config.to_json_dict(),
         "overrides": _parse_overrides(args.overrides),
-        "workers": _workers(args),
+        "workers": workers,
         "landmarks": result.landmarks,
         "max_norm_deviation": result.max_norm_deviation,
         "outputs": ["minp1.csv"],
@@ -233,8 +240,9 @@ def _cmd_scan_minp1(args) -> int:
 def _cmd_scan_spectrum(args) -> int:
     spec = _load_spec(args)
     config = _scan_config(args, spec)
+    workers = _workers(args)
     started = time.perf_counter()
-    result = scan_spectrum(config, workers=_workers(args))
+    result = scan_spectrum(config, workers=workers)
     args.out.mkdir(parents=True, exist_ok=True)
     csvio.write_spectrum(args.out / "spectrum.csv", result.ratios,
                          result.branch_set.branches, include_residual=True)
@@ -242,7 +250,7 @@ def _cmd_scan_spectrum(args) -> int:
         "command": "scan-spectrum",
         **config.to_json_dict(),
         "overrides": _parse_overrides(args.overrides),
-        "workers": _workers(args),
+        "workers": workers,
         "landmarks": result.landmarks,
         "classifications": result.classifications,
         "warnings": result.warnings,

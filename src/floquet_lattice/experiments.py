@@ -64,13 +64,8 @@ class ScanConfig:
     horizon_periods: int = 200
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
     initial_site: int = 1
-    scan_parameter: str = "a2"
 
     def __post_init__(self):
-        if self.scan_parameter != "a2":
-            raise ValidationError(
-                f"only a2 scans are supported, got {self.scan_parameter!r}"
-            )
         if not (math.isfinite(self.grid_start) and math.isfinite(self.grid_stop)):
             raise ValidationError("grid bounds must be finite")
         if self.grid_stop <= self.grid_start:
@@ -100,7 +95,7 @@ class ScanConfig:
             "horizon_periods": self.horizon_periods,
             "steps_per_period": self.steps_per_period,
             "initial_site": self.initial_site,
-            "scan_parameter": self.scan_parameter,
+            "scan_parameter": "a2",
         }
 
 
@@ -233,9 +228,9 @@ def scan_spectrum(
 ) -> ScanResult:
     """Quasi-energy branches and mode populations across the grid.
 
-    With ``classify`` the grid is densified inside +-0.1 of every J_0 zero
-    in range, and the closest branch approach near each zero is refined and
-    labelled crossing/avoided.
+    With ``classify`` the grid is densified inside +-REFINE_HALF_WINDOW
+    (0.2) of every J_0 zero in range, and the closest branch approach near
+    each zero is refined and labelled crossing/avoided.
     """
     landmarks = landmark_zeros(config.grid_start, config.grid_stop)
     ratios = _refined_ratios(config, landmarks) if classify else config.grid()

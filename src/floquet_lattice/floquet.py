@@ -164,7 +164,8 @@ def averaged_populations(
 
 @dataclass
 class Branch:
-    """One quasi-energy branch followed through a parameter sweep."""
+    """One quasi-energy branch followed through an a2 sweep
+    (``param_values`` are the a2 values)."""
 
     branch_id: int
     param_values: np.ndarray
@@ -172,7 +173,6 @@ class Branch:
     vectors: np.ndarray          # (points, n_sites)
     avg_populations: np.ndarray  # (points, n_sites)
     residuals: np.ndarray
-    vary: str = "a2"
     base_spec: SystemSpec | None = None
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
 
@@ -185,7 +185,6 @@ class Branch:
             vectors=self.vectors[mask],
             avg_populations=self.avg_populations[mask],
             residuals=self.residuals[mask],
-            vary=self.vary,
             base_spec=self.base_spec,
             steps_per_period=self.steps_per_period,
         )
@@ -193,7 +192,6 @@ class Branch:
 
 @dataclass
 class BranchSet:
-    vary: str
     param_values: np.ndarray
     branches: list[Branch]
     warnings: list[str] = field(default_factory=list)
@@ -325,8 +323,7 @@ def track_branches(
                 steps_per_period=steps_per_period,
             )
         )
-    return BranchSet(vary="a2", param_values=params, branches=branches,
-                     warnings=warnings)
+    return BranchSet(param_values=params, branches=branches, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +339,7 @@ def _circular_gap(e1: float, e2: float, omega: float) -> float:
 @dataclass(frozen=True)
 class ClosestApproach:
     kind: str       # "crossing" or "avoided"
-    location: float  # value of the varied parameter at the minimum gap
+    location: float  # a2 at the minimum gap
     gap: float
     evaluations: int
 
@@ -353,7 +350,7 @@ def _gap_probe(branch_a: Branch, branch_b: Branch, anchor: int, x: float) -> flo
     Only eigenvalues and eigenvectors are needed here, so the mode
     populations are skipped.
     """
-    spec = branch_a.base_spec.replace(**{branch_a.vary: float(x)})
+    spec = branch_a.base_spec.replace(a2=float(x))
     op = monodromy(spec, branch_a.steps_per_period)
     eps, vecs, _ = _sorted_modes(op.matrix, spec.omega)
     ov_a = np.abs(vecs.conj() @ branch_a.vectors[anchor])

@@ -4,10 +4,11 @@ The integrator is a fixed-step classical Runge-Kutta (4th order) with the
 step tied to the drive period, h = T / steps_per_period.
 
 Because H is T-periodic and steps are period-commensurate, a horizon of M
-periods factors through the one-period map: a(m T + tau) = V(tau) U^m a(0).
-The folded helpers below exploit that to evaluate long-horizon population
-series and minima at a fraction of the step count; they compose exactly the
-same RK4 one-step maps, so they agree with direct stepping to rounding.
+periods factors through the one-period map: a(t0 + m T + tau) =
+V(tau) U^m a(t0). ``propagate`` and the folded helpers below evaluate every
+integrator step of a long horizon that way, from one period of stepping;
+they compose exactly the same RK4 one-step maps, so they agree with direct
+stepping to rounding.
 
 Every one-period quantity goes through the step-matrix kernel. The equation
 is linear, so one RK4 step is multiplication by a fixed n x n matrix R_k, the
@@ -26,15 +27,15 @@ what makes worker-count invariance exact.
 
 ``basis_sweep`` starts the sweep from the site basis and returns the
 one-period operators U(T, 0); ``monodromy``, ``one_period_table``,
-``propagation_norm_drift`` and branch tracking call it. ``period_average``
-starts it from mode vectors. ``propagate`` keeps the direct step loop
-(``_rk4_advance``, row states advanced by slice arithmetic) as the
-independent reference the kernel and the folded paths are tested against.
+``propagate`` (and through it ``propagation_norm_drift``) and branch
+tracking call it. ``period_average`` starts it from mode vectors. The
+direct step loop, row states advanced by slice arithmetic, lives in the
+tests as the independent reference the kernel and every folded path are
+checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,82 +118,6 @@ class Trajectory:
         return StateVector(amplitudes=self.amplitudes[i], time=float(self.times[i]))
 
 
-# ---------------------------------------------------------------------------
-# RK4 kernel
-
-
-def _rhs(out, y, cos_t, omega0, nu0, amps):
-    """out = -i H(t) y for row states y (B, n); amps is (B, 2) edge drive."""
-    out[:, :] = 0.0
-    out[:, 1:] += y[:, :-1]
-    out[:, :-1] += y[:, 1:]
-    if omega0 != 1.0:
-        out *= omega0
-    if nu0 != 0.0:
-        out[:, 2:] += nu0 * y[:, :-2]
-        out[:, :-2] += nu0 * y[:, 2:]
-    out[:, 0] += (cos_t * amps[:, 0]) * y[:, 0]
-    out[:, -1] += (cos_t * amps[:, 1]) * y[:, -1]
-    out *= -1j
-    return out
-
-
-def _rk4_advance(y, amps, omega0, nu0, omega, h, nsteps, t0=0.0, on_step=None):
-    """Advance row states in place by nsteps; returns max norm deviation.
-
-    ``on_step(i, y)`` is invoked with the state at sample index i (before the
-    i-th step), and once more with (nsteps, y) after the final step. Rows are
-    assumed to be unit-norm states; the hard NORM_FAILURE_BOUND is enforced
-    at every step; a NaN or infinite norm fails it too.
-    """
-    k1 = np.empty_like(y)
-    k2 = np.empty_like(y)
-    k3 = np.empty_like(y)
-    k4 = np.empty_like(y)
-    tmp = np.empty_like(y)
-    max_dev = 0.0
-    for i in range(nsteps):
-        if on_step is not None:
-            on_step(i, y)
-        t = t0 + i * h
-        _rhs(k1, y, math.cos(omega * t), omega0, nu0, amps)
-        np.multiply(k1, 0.5 * h, out=tmp)
-        tmp += y
-        cos_mid = math.cos(omega * (t + 0.5 * h))
-        _rhs(k2, tmp, cos_mid, omega0, nu0, amps)
-        np.multiply(k2, 0.5 * h, out=tmp)
-        tmp += y
-        _rhs(k3, tmp, cos_mid, omega0, nu0, amps)
-        np.multiply(k3, h, out=tmp)
-        tmp += y
-        _rhs(k4, tmp, math.cos(omega * (t + h)), omega0, nu0, amps)
-        k2 += k3
-        k2 *= 2.0
-        k1 += k4
-        k1 += k2
-        k1 *= h / 6.0
-        y += k1
-        dev = float(np.max(np.abs(np.sum(y.real**2 + y.imag**2, axis=1) - 1.0)))
-        if not (dev <= NORM_FAILURE_BOUND):
-            raise IntegrationFailure(
-                f"norm drift {dev:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
-                f"at t={t + h!r}; increase steps_per_period",
-                time=t + h,
-            )
-        if dev > max_dev:
-            max_dev = dev
-    if on_step is not None:
-        on_step(nsteps, y)
-    return max_dev
-
-
-def _edge_amps(spec: SystemSpec, batch: int) -> np.ndarray:
-    amps = np.empty((batch, 2))
-    amps[:, 0] = spec.a1
-    amps[:, 1] = spec.a2
-    return amps
-
-
 def _step_size(spec: SystemSpec, steps_per_period) -> float:
     """h = T / steps_per_period, after checking steps_per_period."""
     if (isinstance(steps_per_period, bool)
@@ -203,6 +128,17 @@ def _step_size(spec: SystemSpec, steps_per_period) -> float:
             f"got {steps_per_period!r}"
         )
     return spec.period / steps_per_period
+
+
+def _norm_gate(dev: float, time: float, where: str) -> None:
+    """IntegrationFailure at ``time`` unless ``dev`` is within
+    NORM_FAILURE_BOUND; NaN fails too."""
+    if not (dev <= NORM_FAILURE_BOUND):
+        raise IntegrationFailure(
+            f"norm drift {dev:.3e} exceeds {NORM_FAILURE_BOUND:.0e} {where}; "
+            "increase steps_per_period",
+            time=time,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +219,8 @@ def _step_matrices(coef: np.ndarray, a2: np.ndarray,
 
 
 def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
-           on_chunk=None):
-    """Carry the (points, k, n) row states ``y0`` over one period.
+           on_chunk=None, t0: float = 0.0):
+    """Carry the (points, k, n) row states ``y0`` over one period from t0.
 
     Point p evolves at a2_values[p] and the other fields of ``spec``. Steps
     go in blocks: the coefficients of a block of steps (blocks fixed by n
@@ -292,7 +228,8 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     step matrices of every point by Horner's rule and one ``np.matmul`` per
     step over the points. Every buffer is sized from CHUNK_BYTES. The norm
     gate reads the norms of every state of a sub-block in one reduction; the
-    first failing step raises IntegrationFailure with its time.
+    first failing step raises IntegrationFailure with its time. Overflow and
+    NaN in the arithmetic are left for that gate to report.
 
     ``on_chunk(first, states)`` sees the states at sample indices first,
     first + 1, ... as a (samples, points, k, n) array: once with the initial
@@ -313,49 +250,47 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     rbuf = np.empty((block, p, n, n), dtype=complex)
     states = np.empty((block, p, k, n), dtype=complex)
     max_dev = 0.0
-    for c0 in range(0, steps_per_period, coef_steps):
-        c1 = min(c0 + coef_steps, steps_per_period)
-        coef = _step_coefficients(spec, h, np.arange(c0, c1) * h, work)
-        for s0 in range(c0, c1, block):
-            count = min(block, c1 - s0)
-            r = _step_matrices(coef[:, s0 - c0:s0 - c0 + count], a2,
-                               rbuf[:count])
-            y = states[:count]
-            prev = cur
-            for i in range(count):
-                np.matmul(prev, r[i], out=y[i])
-                prev = y[i]
-            cur[...] = prev
-            norms = np.sum(y.real**2 + y.imag**2, axis=-1)
-            dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
-            bad = ~(dev <= NORM_FAILURE_BOUND)
-            if bad.any():
-                i = int(np.argmax(bad))
-                t = (s0 + i) * h
-                raise IntegrationFailure(
-                    f"norm drift {dev[i]:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
-                    f"at t={t + h!r}; increase steps_per_period",
-                    time=t + h,
-                )
-            max_dev = max(max_dev, float(dev.max()))
-            if on_chunk is not None:
-                on_chunk(s0 + 1, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, steps_per_period, coef_steps):
+            c1 = min(c0 + coef_steps, steps_per_period)
+            coef = _step_coefficients(spec, h, t0 + np.arange(c0, c1) * h,
+                                      work)
+            for s0 in range(c0, c1, block):
+                count = min(block, c1 - s0)
+                r = _step_matrices(coef[:, s0 - c0:s0 - c0 + count], a2,
+                                   rbuf[:count])
+                y = states[:count]
+                prev = cur
+                for i in range(count):
+                    np.matmul(prev, r[i], out=y[i])
+                    prev = y[i]
+                cur[...] = prev
+                norms = np.sum(y.real**2 + y.imag**2, axis=-1)
+                dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
+                bad = ~(dev <= NORM_FAILURE_BOUND)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    t = t0 + (s0 + i) * h
+                    _norm_gate(float(dev[i]), t + h, f"at t={t + h!r}")
+                max_dev = max(max_dev, float(dev.max()))
+                if on_chunk is not None:
+                    on_chunk(s0 + 1, y)
     return cur, max_dev
 
 
 def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
-                on_chunk=None):
+                on_chunk=None, t0: float = 0.0):
     """Propagate the site basis over one period at every a2 in ``a2_values``.
 
     The other fields of ``spec`` are shared by all points. Returns the
-    (points, n, n) stack of one-period operators U(T, 0) and the worst norm
-    deviation of any basis image at any step. ``on_chunk`` is as in
-    ``_sweep``: row j of point p's state is the image of basis state j,
-    i.e. the states are U(t_s, 0) transposed.
+    (points, n, n) stack of one-period operators U(t0 + T, t0) and the worst
+    norm deviation of any basis image at any step; the gate fails on any
+    basis image. ``on_chunk`` is as in ``_sweep``: row j of point p's state
+    is the image of basis state j, i.e. the states are U(t_s, t0) transposed.
     """
     n = spec.n_sites
     eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
-    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, on_chunk)
+    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, on_chunk, t0)
     return y.transpose(0, 2, 1), max_dev
 
 
@@ -396,8 +331,17 @@ def propagate(
     With ``stride`` > 1 only every stride-th sample is stored (it must divide
     the total step count); minima and the norm check still see every step.
 
+    One basis sweep over the period from ``initial.time`` gives the table
+    V(tau_s), and the state at step m * steps_per_period + s is
+    V(tau_s) U^m a(t0). The horizon is folded over blocks of periods sized
+    from CHUNK_BYTES, so memory holds the stored samples, the table, one
+    vector per period and one block, never every step.
+
     Raises IntegrationFailure if the norm drifts beyond the hard bound at
-    any step, carrying the offending time.
+    any step of the horizon, carrying the time of the first such step. Like
+    ``monodromy``, the sweep also gates the image of every basis state over
+    the first period, so a step size too coarse for any of them fails even
+    where this state alone would pass.
     """
     if initial.n_sites != spec.n_sites:
         raise ValidationError(
@@ -419,28 +363,41 @@ def propagate(
             f"stride {stride} must divide the total step count {nsteps}"
         )
 
-    n_stored = nsteps // stride + 1
-    stored = np.empty((n_stored, spec.n_sites), dtype=complex)
-    min_pops = np.ones(spec.n_sites)
+    n, spp, t0 = spec.n_sites, steps_per_period, initial.time
+    # table[j, s] is row state s of basis image j, s < spp
+    table = np.empty((n, spp, n), dtype=complex)
 
-    def collect(i, y):
-        np.minimum(min_pops, y.real[0] ** 2 + y.imag[0] ** 2, out=min_pops)
-        if i % stride == 0:
-            stored[i // stride] = y[0]
+    def collect(first, states):
+        last = min(first + len(states), spp)
+        table[:, first:last] = states[:last - first, 0].transpose(1, 0, 2)
 
-    y = initial.amplitudes[np.newaxis, :].copy()
-    max_dev = _rk4_advance(
-        y,
-        _edge_amps(spec, 1),
-        spec.omega0,
-        spec.nu0,
-        spec.omega,
-        h,
-        nsteps,
-        t0=initial.time,
-        on_step=collect,
-    )
-    times = initial.time + h * stride * np.arange(n_stored)
+    (u,), _ = basis_sweep(spec, [spec.a2], spp, on_chunk=collect, t0=t0)
+    w, _ = _period_starts(u, initial.amplitudes, nsteps // spp)
+    table = table.reshape(n, spp * n)
+
+    stored = np.empty((nsteps // stride + 1, n), dtype=complex)
+    min_pops = np.ones(n)
+    max_dev = 0.0
+    block = max(1, CHUNK_BYTES // (16 * spp * n))
+    for m0 in range(0, w.shape[1], block):
+        j0 = m0 * spp  # samples j0, j0 + 1, ... in step order
+        amps = (w[:, m0:m0 + block].T @ table).reshape(-1, n)[:nsteps + 1 - j0]
+        pops = amps.real**2 + amps.imag**2
+        dev = np.abs(pops.sum(axis=1) - 1.0)
+        if j0 == 0:
+            dev[0] = 0.0  # the initial state is no step's result
+        bad = ~(dev <= NORM_FAILURE_BOUND)
+        if bad.any():
+            i = int(np.argmax(bad))
+            t = t0 + (j0 + i - 1) * h
+            _norm_gate(float(dev[i]), t + h,
+                       f"across periods, first at t={t + h!r}")
+        max_dev = max(max_dev, float(dev.max()))
+        np.minimum(min_pops, pops.min(axis=0), out=min_pops)
+        first = -j0 % stride
+        stored[(j0 + first) // stride:(j0 + len(amps) - 1) // stride + 1] = (
+            amps[first::stride])
+    times = t0 + h * stride * np.arange(stored.shape[0])
     return Trajectory(
         spec=spec,
         times=times,
@@ -521,24 +478,16 @@ def one_period_table(
     )
 
 
-def _period_starts(u: np.ndarray, a0: np.ndarray, periods: int,
-                   period: float) -> tuple[np.ndarray, float]:
-    """(columns w_m = U^m a0 for m = 0..periods, their worst norm drift);
-    a drift above NORM_FAILURE_BOUND, or NaN, raises IntegrationFailure."""
+def _period_starts(u: np.ndarray, a0: np.ndarray,
+                   periods: int) -> tuple[np.ndarray, float]:
+    """(columns w_m = U^m a0 for m = 0..periods, their worst norm drift)."""
     n = a0.size
     w = np.empty((n, periods + 1), dtype=complex)
     cur = a0.astype(complex)
     for m in range(periods + 1):
         w[:, m] = cur
         cur = u @ cur
-    drift = float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
-    if not (drift <= NORM_FAILURE_BOUND):
-        raise IntegrationFailure(
-            f"norm drift {drift:.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
-            "across periods; increase steps_per_period",
-            time=periods * period,
-        )
-    return w, drift
+    return w, float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
 
 
 def folded_min_population(
@@ -550,8 +499,8 @@ def folded_min_population(
     one-period map instead of re-stepping every period. The sample set covers
     every integrator step from t=0 through t = periods * T inclusive.
     """
-    w, drift = _period_starts(table.monodromies[point], initial, periods,
-                              table.period)
+    w, drift = _period_starts(table.monodromies[point], initial, periods)
+    _norm_gate(drift, periods * table.period, "across periods")
     p = np.abs(table.site_rows[:, point, :] @ w[:, :periods]) ** 2
     return float(p.min()), max(drift, table.max_norm_deviation)
 
@@ -573,8 +522,8 @@ def folded_population_series(
         raise ValidationError(f"stride {stride} must divide {spp}")
     if periods < 1:
         raise ValidationError("periods must be >= 1")
-    w, _ = _period_starts(table.monodromies[point], initial, periods,
-                          table.period)
+    w, drift = _period_starts(table.monodromies[point], initial, periods)
+    _norm_gate(drift, periods * table.period, "across periods")
     rows = table.site_rows[::stride, point, :]      # (spp/stride + 1, n)
     amp = rows[:-1] @ w[:, :periods]                # (s, m) samples
     pops = np.abs(amp) ** 2
@@ -595,26 +544,12 @@ def propagation_norm_drift(
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
     initial_site: int = 1,
 ) -> float:
-    """Max |norm^2 - 1| over every integrator step of a ``periods``-long run.
+    """Max |norm^2 - 1| over every integrator step of a ``periods``-long run
+    from ``initial_site``: ``propagate``'s report, storing only the ends.
 
-    Uses the folded decomposition with the full one-period state table, so
-    the check covers each intra-period sample of each period without
-    re-stepping the whole horizon. Like ``propagate`` over the same horizon,
-    it raises IntegrationFailure once the drift passes NORM_FAILURE_BOUND.
+    Like ``propagate``, it raises IntegrationFailure once the drift passes
+    NORM_FAILURE_BOUND.
     """
-    n = spec.n_sites
-    _step_size(spec, steps_per_period)  # checked before it sizes tables
-    tables = np.empty((steps_per_period + 1, n, n), dtype=complex)
-
-    def collect(first, states):
-        tables[first:first + len(states)] = states[:, 0]
-
-    (u,), _ = basis_sweep(spec, [spec.a2], steps_per_period, on_chunk=collect)
-    a0 = basis_state(n, initial_site).amplitudes
-    w, _ = _period_starts(u, a0, periods, spec.period)
-    # a(m T + tau_s) = tables[s]^T w_m; norms over the whole (s, m) grid.
-    states = np.matmul(tables.transpose(0, 2, 1), w[:, :periods])
-    norms = np.sum(states.real**2 + states.imag**2, axis=1)
-    dev = float(np.max(np.abs(norms - 1.0)))
-    final_dev = float(abs(np.sum(np.abs(w[:, periods]) ** 2) - 1.0))
-    return max(dev, final_dev)
+    return propagate(spec, basis_state(spec.n_sites, initial_site),
+                     periods * spec.period, steps_per_period,
+                     stride=periods * steps_per_period).max_norm_deviation

@@ -200,6 +200,27 @@ def test_workers_env_invalid(tmp_path, spec_file, monkeypatch, capsys):
     assert "FLOQUET_LATTICE_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_workers_flag_below_one(tmp_path, spec_file, capsys, value):
+    for argv in (["scan-minp1", "--config", str(spec_file),
+                  "--grid", "0:0.2:2"],
+                 ["scan-spectrum", "--config", str(spec_file)],
+                 ["reproduce", "fig2"]):
+        out = tmp_path / "out"
+        assert main(argv + ["--workers", value, "--out", str(out)]) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_env_below_one(tmp_path, spec_file, monkeypatch, capsys,
+                               value):
+    monkeypatch.setenv("FLOQUET_LATTICE_WORKERS", value)
+    assert main(["scan-minp1", "--config", str(spec_file),
+                 "--grid", "0:0.2:2", "--out", str(tmp_path)]) == 1
+    assert "FLOQUET_LATTICE_WORKERS must be >= 1" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "0.1.0"

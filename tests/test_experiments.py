@@ -13,12 +13,12 @@ from floquet_lattice import (
     j0_zero,
     landmark_zeros,
     min_population,
-    propagate,
     reproduce,
     scan_min_p1,
     scan_spectrum,
 )
 from floquet_lattice.propagator import folded_min_population, one_period_table
+from helpers import direct_propagate
 
 
 def spec_n(n, **kw):
@@ -41,8 +41,6 @@ def test_config_validation():
         small_config(grid_points=1)
     with pytest.raises(ValidationError, match="horizon"):
         small_config(horizon_periods=0)
-    with pytest.raises(ValidationError, match="a2"):
-        small_config(scan_parameter="omega")
     with pytest.raises(ValidationError, match="initial_site"):
         small_config(initial_site=9)
 
@@ -59,9 +57,10 @@ def test_scan_matches_direct_propagation():
     result = scan_min_p1(config)
     for ratio, value in zip(result.ratios, result.min_p1):
         spec = config.base_spec.replace(a2=float(ratio * 10.0))
-        traj = propagate(spec, basis_state(3, 1),
-                         t_final=config.horizon_periods * spec.period,
-                         steps_per_period=config.steps_per_period, stride=100)
+        traj = direct_propagate(spec, basis_state(3, 1),
+                                t_final=config.horizon_periods * spec.period,
+                                steps_per_period=config.steps_per_period,
+                                stride=100)
         assert abs(value - min_population(traj, 1)) < 1e-9
 
 

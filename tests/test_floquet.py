@@ -236,7 +236,6 @@ def _flat_branch(bid, value, params):
         vectors=np.tile(np.eye(2, dtype=complex)[bid], (p, 1)),
         avg_populations=np.full((p, 2), 0.5),
         residuals=np.zeros(p),
-        vary="a2",
         base_spec=SystemSpec(n_sites=2, omega0=1.0, nu0=0.0, a1=0.0, a2=0.0,
                              omega=10.0),
         steps_per_period=500,

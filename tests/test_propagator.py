@@ -17,8 +17,6 @@ from floquet_lattice import (
     site_population_series,
 )
 from floquet_lattice.propagator import (
-    _edge_amps,
-    _rk4_advance,
     _step_coefficients,
     _step_matrices,
     basis_sweep,
@@ -27,6 +25,7 @@ from floquet_lattice.propagator import (
     one_period_table,
     period_average,
 )
+from helpers import _edge_amps, _rhs, _rk4_advance, direct_propagate
 
 
 def spec3(**kw):
@@ -181,6 +180,7 @@ def test_integration_failure_carries_time():
     assert err.value.time > 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_norm_fails_the_step_gate():
     # cos(omega t) * 1e308 overflows to inf and the state to NaN, which a
     # `dev > bound` test would let through
@@ -208,10 +208,9 @@ def test_min_population_site_errors():
 
 
 def test_kernel_matches_hamiltonian_matrix():
-    # the slice-based stepping kernel and the reference matrix assembly
+    # the slice-based stepping oracle and the reference matrix assembly
     # must describe the same H(t)
     from floquet_lattice.model import hamiltonian_at
-    from floquet_lattice.propagator import _rhs
 
     rng = np.random.default_rng(13)
     spec = SystemSpec(n_sites=5, omega0=0.7, nu0=0.31, a1=7.0, a2=-3.0,
@@ -236,8 +235,8 @@ def test_folded_min_matches_direct():
     table = one_period_table(spec, np.array([spec.a2]), spp, site=1)
     a0 = basis_state(3, 1).amplitudes
     folded, _ = folded_min_population(table, 0, a0, periods)
-    direct = propagate(spec, basis_state(3, 1), periods * spec.period,
-                       steps_per_period=spp, stride=50)
+    direct = direct_propagate(spec, basis_state(3, 1), periods * spec.period,
+                              steps_per_period=spp, stride=50)
     assert abs(folded - min_population(direct, 1)) < 1e-9
 
 
@@ -247,8 +246,8 @@ def test_folded_series_matches_direct():
     table = one_period_table(spec, np.array([spec.a2]), spp, site=1)
     a0 = basis_state(3, 1).amplitudes
     times, series = folded_population_series(table, 0, a0, periods, stride=1)
-    direct = propagate(spec, basis_state(3, 1), periods * spec.period,
-                       steps_per_period=spp)
+    direct = direct_propagate(spec, basis_state(3, 1), periods * spec.period,
+                              steps_per_period=spp)
     _, p_direct = site_population_series(direct, 1)
     assert times.size == p_direct.size
     assert np.max(np.abs(series - p_direct)) < 1e-9
@@ -256,17 +255,88 @@ def test_folded_series_matches_direct():
 
 def test_norm_drift_report_matches_direct():
     spec = spec3(a2=24.0)
-    direct = propagate(spec, basis_state(3, 1), 5 * spec.period,
-                       steps_per_period=500, stride=100)
+    direct = direct_propagate(spec, basis_state(3, 1), 5 * spec.period,
+                              steps_per_period=500, stride=100)
     reported = propagation_norm_drift(spec, periods=5, steps_per_period=500)
     assert reported == pytest.approx(direct.max_norm_deviation, abs=1e-11)
 
 
 def test_norm_drift_report_fails_where_direct_would():
     # 5e-7 drift per period at 150 steps passes the 1e-6 bound within a few
-    # periods; propagate would raise there too
-    with pytest.raises(IntegrationFailure, match="across periods"):
+    # periods; the direct loop raises at the same step
+    with pytest.raises(IntegrationFailure, match="across periods") as folded:
         propagation_norm_drift(spec3(), periods=400, steps_per_period=150)
+    with pytest.raises(IntegrationFailure) as direct:
+        direct_propagate(spec3(), basis_state(3, 1), 400 * spec3().period,
+                         steps_per_period=150)
+    assert folded.value.time == direct.value.time > spec3().period
+
+
+# --- propagate (folded through the kernel) agrees with the direct loop ---
+
+
+def _assert_matches_direct(traj, direct):
+    k = traj.stride // direct.stride  # direct may store a finer grid
+    assert traj.times == pytest.approx(direct.times[::k], rel=1e-15)
+    assert np.max(np.abs(traj.amplitudes - direct.amplitudes[::k])) <= 1e-11
+    assert np.max(np.abs(traj.min_populations
+                         - direct.min_populations)) <= 1e-11
+    assert abs(traj.max_norm_deviation - direct.max_norm_deviation) <= 1e-11
+
+
+def test_propagate_matches_direct_over_200_periods():
+    # 400 steps per period keep the direct loop to 80k steps, and the drift
+    # (4e-7) inside the gate
+    spec = spec3(a2=24.0)
+    direct = direct_propagate(spec, basis_state(3, 1), 200 * spec.period,
+                              steps_per_period=400)
+    for stride in (1, 100):
+        traj = propagate(spec, basis_state(3, 1), 200 * spec.period,
+                         steps_per_period=400, stride=stride)
+        _assert_matches_direct(traj, direct)
+
+
+# the last case folds 4700 steps in blocks of two periods, and stride 47
+# starts the second block's stored samples 5 steps in
+@pytest.mark.parametrize("n_sites, nu0, periods, stride", [(4, 0.2, 5.0, 1),
+                                                           (6, 0.0, 5.0, 1),
+                                                           (3, 0.0, 2.35, 47)])
+def test_propagate_matches_direct(n_sites, nu0, periods, stride):
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=22.0, a2=24.0,
+                      omega=10.0)
+    args = (spec, basis_state(n_sites, 1), periods * spec.period, 2000)
+    _assert_matches_direct(propagate(*args, stride=stride),
+                           direct_propagate(*args))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(2, 6),
+    nu0=st.floats(0.0, 0.5),
+    a1=st.floats(-20.0, 20.0),
+    a2=st.floats(-20.0, 20.0),
+    spp=st.sampled_from([240, 270, 300]),
+    stride=st.sampled_from([7, 11, 13]),
+    samples=st.integers(20, 60),
+    t0=st.floats(0.05, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_matches_direct_property(n_sites, nu0, a1, a2, spp, stride,
+                                           samples, t0, seed):
+    # strides that divide no steps_per_period drawn here put stored samples
+    # at every intra-period offset; horizons of samples * stride steps are
+    # mostly not whole periods. At |a| <= 2 omega and >= 240 steps the RK4
+    # drift stays below 1e-7, inside the gate.
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=a1, a2=a2,
+                      omega=10.0)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
+    initial = StateVector(amps / np.linalg.norm(amps), time=t0)
+    t_final = t0 + samples * stride * spec.period / spp
+    _assert_matches_direct(
+        propagate(spec, initial, t_final, spp, stride),
+        direct_propagate(spec, initial, t_final, spp, stride),
+    )
 
 
 # --- the step-matrix kernel agrees with the direct step loop ---
@@ -332,8 +402,14 @@ def test_norm_gate_fails_at_the_direct_loop_step():
     with pytest.raises(IntegrationFailure) as kernel:
         basis_sweep(spec, [spec.a2], 100)
     assert kernel.value.time == direct.value.time > 0.0
+    with pytest.raises(IntegrationFailure) as direct:
+        direct_propagate(spec, basis_state(2, 2), spec.period, 100)
+    with pytest.raises(IntegrationFailure) as folded:
+        propagate(spec, basis_state(2, 2), spec.period, 100)
+    assert folded.value.time == direct.value.time > 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_step_matrices_fail_the_gate():
     with pytest.raises(IntegrationFailure):
         basis_sweep(spec3(a1=1e308), [0.0], 100)
