@@ -32,7 +32,7 @@ from .floquet import (
     classify_closest_approach,
     track_branches,
 )
-from .model import SystemSpec, override_spec_fields, spec_from_json
+from .model import SystemSpec, override_spec_fields, require_int, spec_from_json
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
@@ -70,15 +70,12 @@ class ScanConfig:
             raise ValidationError("grid bounds must be finite")
         if self.grid_stop <= self.grid_start:
             raise ValidationError("grid stop must exceed grid start")
-        if self.grid_points < 2:
-            raise ValidationError("grid needs at least 2 points")
-        if self.horizon_periods < 1:
-            raise ValidationError("horizon_periods must be >= 1")
-        if self.steps_per_period < MIN_STEPS_PER_PERIOD:
-            raise ValidationError(
-                f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}"
-            )
-        if not (1 <= self.initial_site <= self.base_spec.n_sites):
+        require_int("grid_points", self.grid_points, 2)
+        require_int("horizon_periods", self.horizon_periods, 1)
+        require_int("steps_per_period", self.steps_per_period,
+                    MIN_STEPS_PER_PERIOD)
+        require_int("initial_site", self.initial_site, 1)
+        if self.initial_site > self.base_spec.n_sites:
             raise ValidationError("initial_site out of range")
 
     def grid(self) -> np.ndarray:
@@ -281,11 +278,8 @@ def _classify_near(branch_set: BranchSet, zero: float, omega: float):
     best_pair, best_gap = None, math.inf
     for a in range(len(branches)):
         for b in range(a + 1, len(branches)):
-            ga = branches[a].quasienergies[mask]
-            gb = branches[b].quasienergies[mask]
-            gap = min(
-                _circular_gap(float(x), float(y), omega) for x, y in zip(ga, gb)
-            )
+            gap = np.min(_circular_gap(branches[a].quasienergies[mask],
+                                       branches[b].quasienergies[mask], omega))
             if gap < best_gap:
                 best_gap, best_pair = gap, (a, b)
     a, b = best_pair

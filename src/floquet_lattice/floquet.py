@@ -27,7 +27,9 @@ from .propagator import DEFAULT_STEPS_PER_PERIOD, basis_sweep, period_average
 
 UNITARITY_FAILURE_BOUND = 1e-6
 EIGEN_RESIDUAL_BOUND = 1e-7
-DEFAULT_GAP_THRESHOLD_FACTOR = 1e-4  # crossing threshold = factor * omega
+GAP_THRESHOLD_FACTOR = 1e-4     # crossing threshold = factor * omega
+REFINE_TOLERANCE_FACTOR = 1e-7  # location tolerance = factor * omega
+MAX_GAP_PROBES = 16             # cap on parabolic refinement probes
 OVERLAP_AMBIGUITY = 1e-3
 
 
@@ -330,10 +332,11 @@ def track_branches(
 # Crossing vs avoided-crossing classification
 
 
-def _circular_gap(e1: float, e2: float, omega: float) -> float:
-    """Distance between two quasi-energies on the folding circle."""
-    d = abs(e1 - e2) % omega
-    return min(d, omega - d)
+def _circular_gap(e1, e2, omega: float):
+    """Distance between quasi-energies on the folding circle (elementwise
+    for arrays)."""
+    d = np.abs(e1 - e2) % omega
+    return np.minimum(d, omega - d)
 
 
 @dataclass(frozen=True)
@@ -358,23 +361,25 @@ def _gap_probe(branch_a: Branch, branch_b: Branch, anchor: int, x: float) -> flo
     ia = int(np.argmax(ov_a))
     ov_b[ia] = -1.0  # the pair must be two distinct modes
     ib = int(np.argmax(ov_b))
-    return _circular_gap(float(eps[ia]), float(eps[ib]), spec.omega)
+    return float(_circular_gap(eps[ia], eps[ib], spec.omega))
 
 
-def classify_closest_approach(
-    branch_a: Branch,
-    branch_b: Branch,
-    refinement_budget: int = 48,
-    gap_threshold: float | None = None,
-) -> ClosestApproach:
+def classify_closest_approach(branch_a: Branch,
+                              branch_b: Branch) -> ClosestApproach:
     """Locate and classify the closest approach of two tracked branches.
 
-    Finds the interior local minimum of the circular quasi-energy gap on the
-    common grid (smallest gap wins if there are several; leftmost on ties),
-    then refines by golden-section probes within the bracketing cell, up to
-    ``refinement_budget`` extra operator evaluations. The approach counts as
-    a crossing when the refined gap falls below ``gap_threshold``
-    (default 1e-4 * omega).
+    Finds the interior local minimum of the circular quasi-energy gap g on
+    the common grid (smallest gap wins if there are several; leftmost on
+    ties), then refines it by successive parabolic interpolation on g^2
+    inside the bracketing grid triple. Near a two-level approach
+    g^2 = s^2 (x - x0)^2 + Delta^2 to leading order, so the vertex of the
+    parabola through three points lands almost on the minimum (Brent 1973,
+    ch. 5, without the golden-section fallback). The triple's middle point
+    stays the lowest, so every vertex lies inside it; refinement stops once
+    a vertex is within REFINE_TOLERANCE_FACTOR * omega of the middle point,
+    or after MAX_GAP_PROBES probes. The reported gap is the smallest probed
+    or grid value, at its location; the approach counts as a crossing when
+    that gap falls below GAP_THRESHOLD_FACTOR * omega.
     """
     if not np.array_equal(branch_a.param_values, branch_b.param_values):
         raise ValidationError("branches must share one common parameter grid")
@@ -384,66 +389,44 @@ def classify_closest_approach(
     if branch_a.base_spec is None:
         raise ValidationError("branches lack a base spec for refinement")
     omega = branch_a.base_spec.omega
-    if gap_threshold is None:
-        gap_threshold = DEFAULT_GAP_THRESHOLD_FACTOR * omega
 
-    g = np.array([
-        _circular_gap(branch_a.quasienergies[i], branch_b.quasienergies[i], omega)
-        for i in range(params.size)
-    ])
-    interior = [
-        i for i in range(1, params.size - 1)
-        if g[i] <= g[i - 1] and g[i] <= g[i + 1]
-    ]
-    if not interior:
+    g = _circular_gap(branch_a.quasienergies, branch_b.quasienergies, omega)
+    interior = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
+    if interior.size == 0:
         raise ValidationError("no interior local minimum of the gap in range")
-    best = min(interior, key=lambda i: (g[i], i))
+    best = int(interior[np.argmin(g[interior])])
 
-    if g[best - 1] == g[best] == g[best + 1]:
-        # flat plateau: nothing to refine, report the leftmost interior point
-        return ClosestApproach(
-            kind="crossing" if g[best] < gap_threshold else "avoided",
-            location=float(params[best]),
-            gap=float(g[best]),
-            evaluations=0,
-        )
-
-    lo, hi = float(params[best - 1]), float(params[best + 1])
-    best_x, best_g = float(params[best]), float(g[best])
-    if refinement_budget < 2:
-        return ClosestApproach(
-            kind="crossing" if best_g < gap_threshold else "avoided",
-            location=best_x,
-            gap=best_g,
-            evaluations=0,
-        )
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
+    x0, x1, x2 = params[best - 1:best + 2]
+    f0, f1, f2 = g[best - 1:best + 2] ** 2
+    best_x, best_g = float(x1), float(g[best])
     evaluations = 0
-    fc = _gap_probe(branch_a, branch_b, best, c)
-    fd = _gap_probe(branch_a, branch_b, best, d)
-    evaluations += 2
-    while evaluations < refinement_budget and (hi - lo) > 1e-12 * max(1.0, abs(hi)):
-        for x, fx in ((c, fc), (d, fd)):
-            if fx < best_g:
-                best_x, best_g = x, fx
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = _gap_probe(branch_a, branch_b, best, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = _gap_probe(branch_a, branch_b, best, d)
+    while evaluations < MAX_GAP_PROBES:
+        # vertex x1 - p / (2 q); q < 0 unless the triple is flat, where p = 0
+        # too and the test below stops on a grid plateau without dividing
+        p = (x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0)
+        q = (x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0)
+        if abs(p) <= 2.0 * REFINE_TOLERANCE_FACTOR * omega * abs(q):
+            break
+        x = x1 - 0.5 * p / q
+        gx = _gap_probe(branch_a, branch_b, best, x)
         evaluations += 1
-    for x, fx in ((c, fc), (d, fd)):
-        if fx < best_g:
-            best_x, best_g = x, fx
+        if gx < best_g:
+            best_x, best_g = float(x), gx
+        fx = gx * gx
+        if fx <= f1:
+            if x < x1:
+                x2, f2 = x1, f1
+            else:
+                x0, f0 = x1, f1
+            x1, f1 = x, fx
+        elif x < x1:
+            x0, f0 = x, fx
+        else:
+            x2, f2 = x, fx
 
     return ClosestApproach(
-        kind="crossing" if best_g < gap_threshold else "avoided",
-        location=float(best_x),
-        gap=float(best_g),
+        kind="crossing" if best_g < GAP_THRESHOLD_FACTOR * omega else "avoided",
+        location=best_x,
+        gap=best_g,
         evaluations=evaluations,
     )

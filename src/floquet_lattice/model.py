@@ -75,6 +75,19 @@ def validate(spec: SystemSpec) -> None:
         raise ValidationError(f"omega must be positive, got {spec.omega!r}")
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ValidationError unless ``value`` is an integer >= ``minimum``.
+
+    Floats (even integral ones) and bools are rejected.
+    """
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValidationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 def spec_from_json(text: str) -> SystemSpec:
     """Parse a SystemSpec from a JSON object; unknown keys are rejected."""
     try:

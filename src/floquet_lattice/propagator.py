@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationFailure, ValidationError
-from .model import SystemSpec, static_hamiltonian
+from .model import SystemSpec, require_int, static_hamiltonian
 
 # Hard failure bound on |sum_j |a_j|^2 - 1| during stepping. Exceeding it
 # means the step size is too coarse for the drive amplitude in play.
@@ -120,13 +120,7 @@ class Trajectory:
 
 def _step_size(spec: SystemSpec, steps_per_period) -> float:
     """h = T / steps_per_period, after checking steps_per_period."""
-    if (isinstance(steps_per_period, bool)
-            or not isinstance(steps_per_period, (int, np.integer))
-            or steps_per_period < MIN_STEPS_PER_PERIOD):
-        raise ValidationError(
-            f"steps_per_period must be an integer >= {MIN_STEPS_PER_PERIOD}, "
-            f"got {steps_per_period!r}"
-        )
+    require_int("steps_per_period", steps_per_period, MIN_STEPS_PER_PERIOD)
     return spec.period / steps_per_period
 
 

@@ -45,6 +45,15 @@ def test_config_validation():
         small_config(initial_site=9)
 
 
+# 500.0 is integral and above every minimum, so only the type check rejects it
+@pytest.mark.parametrize("value", [2.5, 3.0, True, 500.0])
+@pytest.mark.parametrize("name", ["grid_points", "horizon_periods",
+                                  "initial_site", "steps_per_period"])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValidationError, match=name):
+        small_config(**{name: value})
+
+
 def test_landmark_zeros():
     assert landmark_zeros(0.0, 6.0) == [j0_zero(1), j0_zero(2)]
     assert landmark_zeros(3.0, 6.0) == [j0_zero(2)]

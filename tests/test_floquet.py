@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from floquet_lattice import (
     Branch,
@@ -18,6 +20,7 @@ from floquet_lattice import (
     monodromy,
     track_branches,
 )
+from floquet_lattice.floquet import _gap_probe
 from floquet_lattice.propagator import one_period_table
 
 from helpers import circular_match, fold_into_zone, static_eigenvalues
@@ -48,6 +51,27 @@ def test_unitarity_residual_small():
     for a2_ratio in (0.0, 2.0, 2.405, 6.0):
         op = monodromy(spec_n(3, a2=a2_ratio * 10.0))
         assert op.unitarity_residual() < 1e-8
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(2, 6),
+    omega0=st.floats(0.1, 2.0),
+    a1=st.floats(-30.0, 30.0),
+    a2=st.floats(-30.0, 30.0),
+    omega=st.floats(5.0, 20.0),
+)
+def test_quasienergies_symmetric_without_second_order_coupling(
+        n_sites, omega0, a1, a2, omega):
+    # S = diag((-1)^j) gives S H(t) S = -H(t + T/2) at nu0 = 0, so the
+    # spectrum is closed under eps -> -eps: U's eigenvalues come in
+    # conjugate pairs (as a multiset)
+    spec = SystemSpec(n_sites=n_sites, omega0=omega0, nu0=0.0, a1=a1, a2=a2,
+                      omega=omega)
+    lams = np.linalg.eigvals(monodromy(spec, 2000).matrix)
+    dist = np.abs(lams.conj()[:, np.newaxis] - lams[np.newaxis, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert np.max(dist[rows, cols]) < 1e-12
 
 
 def test_fold_convention():
@@ -260,11 +284,16 @@ def test_classify_requires_local_minimum():
         classify_closest_approach(a, b)
 
 
-def test_classify_crossing_near_first_zero_four_sites():
-    # at omega = 10 the four-site pair crossing sits ~0.13 below the zero
+def _classify_first_zero_pair(nu0):
+    """Closest approach of the four-site pair with the smallest grid gap,
+    on an 11-point grid around the first J0 zero at omega = 10.
+
+    Also checks the parabolic refinement: a few probes, and a reported gap
+    no larger than the gap probed 1e-5 omega to either side of it.
+    """
     z1 = j0_zero(1)
     ratios = np.linspace(z1 - 0.2, z1 + 0.05, 11)
-    specs = [spec_n(4, a2=float(r * 10.0)) for r in ratios]
+    specs = [spec_n(4, nu0=nu0, a2=float(r * 10.0)) for r in ratios]
     branch_set = track_branches(specs, 1000)
     # pick the pair with the smallest discrete gap
     best = None
@@ -275,27 +304,24 @@ def test_classify_crossing_near_first_zero_four_sites():
             if best is None or g < best[0]:
                 best = (g, i, j)
     _, i, j = best
-    res = classify_closest_approach(branch_set.branches[i],
-                                    branch_set.branches[j])
+    a, b = branch_set.branches[i], branch_set.branches[j]
+    res = classify_closest_approach(a, b)
+    assert res.evaluations <= 8
+    anchor = int(np.argmin(np.abs(a.quasienergies - b.quasienergies)))
+    for x in (res.location - 1e-4, res.location + 1e-4):
+        assert res.gap <= _gap_probe(a, b, anchor, x)
+    return res
+
+
+def test_classify_crossing_near_first_zero_four_sites():
+    # at omega = 10 the four-site pair crossing sits ~0.13 below the zero
+    res = _classify_first_zero_pair(nu0=0.0)
     assert res.kind == "crossing"
     assert res.gap < 1e-4 * 10.0
-    assert abs(res.location / 10.0 - (z1 - 0.13)) < 0.03
+    assert abs(res.location / 10.0 - (j0_zero(1) - 0.13)) < 0.03
 
 
 def test_classify_avoided_with_second_order_coupling():
-    z1 = j0_zero(1)
-    ratios = np.linspace(z1 - 0.2, z1 + 0.05, 11)
-    specs = [spec_n(4, nu0=0.2, a2=float(r * 10.0)) for r in ratios]
-    branch_set = track_branches(specs, 1000)
-    best = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g = np.min(np.abs(branch_set.branches[i].quasienergies
-                              - branch_set.branches[j].quasienergies))
-            if best is None or g < best[0]:
-                best = (g, i, j)
-    _, i, j = best
-    res = classify_closest_approach(branch_set.branches[i],
-                                    branch_set.branches[j])
+    res = _classify_first_zero_pair(nu0=0.2)
     assert res.kind == "avoided"
     assert res.gap > 1e-4 * 10.0
