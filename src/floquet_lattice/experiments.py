@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,11 +71,13 @@ class ScanConfig:
             raise ValidationError("grid bounds must be finite")
         if self.grid_stop <= self.grid_start:
             raise ValidationError("grid stop must exceed grid start")
-        require_int("grid_points", self.grid_points, 2)
-        require_int("horizon_periods", self.horizon_periods, 1)
-        require_int("steps_per_period", self.steps_per_period,
-                    MIN_STEPS_PER_PERIOD)
-        require_int("initial_site", self.initial_site, 1)
+        for name, minimum in (("grid_points", 2), ("horizon_periods", 1),
+                              ("steps_per_period", MIN_STEPS_PER_PERIOD),
+                              ("initial_site", 1)):
+            value = getattr(self, name)
+            require_int(name, value, minimum)
+            # numpy integers pass the check; stored as int they serialise
+            object.__setattr__(self, name, int(value))
         if self.initial_site > self.base_spec.n_sites:
             raise ValidationError("initial_site out of range")
 
@@ -489,15 +492,25 @@ def write_manifest(out_dir, payload: dict, started: float) -> dict:
     """Write ``payload`` as out_dir/manifest.json and return what was written.
 
     The tool version and the wall time since ``started`` (a
-    ``time.perf_counter()`` reading) are added to it.
+    ``time.perf_counter()`` reading) are added to it. The JSON goes to
+    manifest.json.tmp, which is renamed over manifest.json once complete and
+    removed on failure, so a payload that fails to serialise or an
+    interrupted write leaves no truncated manifest behind.
     """
     from . import __version__
 
     payload = {**payload, "tool_version": __version__,
                "wall_time_s": time.perf_counter() - started}
-    with open(Path(out_dir) / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    target = Path(out_dir) / "manifest.json"
+    partial = target.with_name("manifest.json.tmp")
+    try:
+        with open(partial, "w", encoding="ascii") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return payload
 
 

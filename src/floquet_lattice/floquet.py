@@ -14,7 +14,6 @@ averaged over a period by the propagator's ``period_average``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -199,33 +198,92 @@ class BranchSet:
     warnings: list[str] = field(default_factory=list)
 
 
+def _unpruned_matchings(overlap: list[list[float]]) -> list[tuple]:
+    """(score, permutation) of every matching branch and bound keeps.
+
+    A depth-first search over the permutations in lexicographic order
+    (Land & Doig 1960): depth i fixes row i's column, trying columns in
+    ascending order, and the score is summed left to right from 0.0, so
+    each kept score is the float that summing the permutation's n overlaps
+    in row order gives. A subtree is cut when partial + overlap[i][j] +
+    tail[i+1], where tail[k] sums the row maxima of rows k..n-1, falls
+    below running_best - OVERLAP_AMBIGUITY - slack. The bound is never
+    below the exact best score in the subtree and the running best never
+    exceeds the final best, so a cut permutation scores at least
+    OVERLAP_AMBIGUITY below the best: it is neither the best nor a
+    near-tie. ``slack`` covers the rounding. A float sum of k nonnegative
+    terms, in any bracketing, is within (k - 1) u of the exact sum per unit
+    of its size (u = eps / 2); the score and the bound are each such a sum
+    of n overlaps <= 1, and the floor rounds twice more, which totals at
+    most (n^2 + 1) eps. 2 n^2 eps leaves room for overlaps a few ulps
+    above 1. The result is in lexicographic order.
+    """
+    n = len(overlap)
+    tail = [0.0] * (n + 1)
+    for i in reversed(range(n)):
+        tail[i] = tail[i + 1] + max(overlap[i])
+    slack = 2.0 * n * n * np.finfo(float).eps
+    taken = [False] * n
+    perm = [0] * n
+    kept = []
+    running_best = -math.inf
+
+    def descend(i, partial):
+        nonlocal running_best
+        if i == n:
+            kept.append((partial, tuple(perm)))
+            if partial > running_best:
+                running_best = partial
+            return
+        for j, value in enumerate(overlap[i]):
+            if taken[j] or (partial + value + tail[i + 1]
+                            < running_best - OVERLAP_AMBIGUITY - slack):
+                continue
+            taken[j] = True
+            perm[i] = j
+            descend(i + 1, partial + value)
+            taken[j] = False
+
+    descend(0, 0.0)
+    return kept
+
+
 def _best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
     """Match modes across a grid step by maximal eigenvector overlap.
 
     Returns (permutation, ambiguous). The permutation maximizes the summed
     |<v_prev, v_next>|; near-ties (within OVERLAP_AMBIGUITY) are broken by
     quasi-energy proximity and flagged.
+
+    The candidates come from a pruned lexicographic enumeration
+    (``_unpruned_matchings``). It keeps every permutation within
+    OVERLAP_AMBIGUITY of the best, with the same float scores and in the
+    same order as a full enumeration of all n! permutations, so the best
+    (the first max-score permutation) and the near-tie set, hence the
+    result, are that enumeration's, bit for bit. When one assignment
+    dominates, as between neighbouring grid points, the first complete
+    permutation is near-optimal and the search visits a handful of nodes.
+    When every assignment is a near-tie (a DFT-like overlap) all n!
+    permutations are candidates and the search enumerates them all.
     """
     n = len(prev_eps)
-    overlap = np.abs(prev_vecs.conj() @ next_vecs.T)
+    kept = _unpruned_matchings(
+        np.abs(prev_vecs.conj() @ next_vecs.T).tolist())
     best_perm, best_score = None, -1.0
-    scores = []
-    for perm in itertools.permutations(range(n)):
-        score = float(sum(overlap[i, perm[i]] for i in range(n)))
-        scores.append((score, perm))
+    for score, perm in kept:
         if score > best_score:
             best_score, best_perm = score, perm
     near = [
-        (score, perm) for score, perm in scores
+        (score, perm) for score, perm in kept
         if best_score - score < OVERLAP_AMBIGUITY and perm != best_perm
     ]
     ambiguous = bool(near)
     if ambiguous:
+        gaps = _circular_gap(np.asarray(prev_eps)[:, np.newaxis],
+                             np.asarray(next_eps)[np.newaxis, :], omega).tolist()
+
         def eps_cost(perm):
-            return sum(
-                _circular_gap(prev_eps[i], next_eps[perm[i]], omega)
-                for i in range(n)
-            )
+            return sum(gaps[i][perm[i]] for i in range(n))
         candidates = [(best_score, best_perm)] + near
         best_perm = min(candidates, key=lambda item: eps_cost(item[1]))[1]
     return best_perm, ambiguous
@@ -262,7 +320,10 @@ def track_branches(
     branches stay continuous through exact crossings where ordering by
     quasi-energy would swap labels. Mode computation for distinct grid
     points is independent and is spread over ``workers`` chunks; matching
-    itself is sequential and worker-count invariant.
+    itself is sequential and worker-count invariant. Matching a step costs
+    a handful of search nodes when one pairing dominates, as it does
+    between neighbouring grid points, whatever n_sites is; only steps where
+    every pairing is a near-tie cost all n! (see ``_best_permutation``).
     """
     specs = list(specs)
     if not specs:

@@ -6,14 +6,17 @@ static-spectrum oracle is a dense Hermitian eigensolve of the undriven
 coupling matrix, the averaged-Hamiltonian oracle is the same eigensolve
 with every coupling renormalized by the quadrature J_0, and the propagation
 oracle is a direct RK4 step loop over row states, H(t) applied by slice
-arithmetic at every step of the horizon.
+arithmetic at every step of the horizon. The branch-matching oracle scores
+every one of the n! permutations.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from floquet_lattice import IntegrationFailure, SystemSpec, Trajectory
+from floquet_lattice.floquet import OVERLAP_AMBIGUITY
 from floquet_lattice.propagator import NORM_FAILURE_BOUND
 
 
@@ -204,3 +207,41 @@ def direct_propagate(spec, initial, t_final, steps_per_period, stride=1):
         min_populations=min_pops,
         max_norm_deviation=max_dev,
     )
+
+
+# ---------------------------------------------------------------------------
+# Full enumeration of mode matchings
+
+
+def enumerate_best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
+    """``_best_permutation``'s (permutation, ambiguous) from all n! scores.
+
+    Every permutation is scored by summing its overlaps in row order; the
+    best is the first max-score permutation in lexicographic order, and the
+    near-ties (within OVERLAP_AMBIGUITY of it) are resolved by the smallest
+    summed circular quasi-energy gap, first candidate on ties.
+    """
+    n = len(prev_eps)
+    overlap = np.abs(prev_vecs.conj() @ next_vecs.T)
+    best_perm, best_score = None, -1.0
+    scores = []
+    for perm in itertools.permutations(range(n)):
+        score = float(sum(overlap[i, perm[i]] for i in range(n)))
+        scores.append((score, perm))
+        if score > best_score:
+            best_score, best_perm = score, perm
+    near = [
+        (score, perm) for score, perm in scores
+        if best_score - score < OVERLAP_AMBIGUITY and perm != best_perm
+    ]
+    ambiguous = bool(near)
+    if ambiguous:
+        def eps_cost(perm):
+            total = 0
+            for i in range(n):
+                d = abs(prev_eps[i] - next_eps[perm[i]]) % omega
+                total = total + min(d, omega - d)
+            return total
+        candidates = [(best_score, best_perm)] + near
+        best_perm = min(candidates, key=lambda item: eps_cost(item[1]))[1]
+    return best_perm, ambiguous

@@ -1,7 +1,9 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from floquet_lattice import (
     ScanConfig,
@@ -10,6 +12,7 @@ from floquet_lattice import (
     ValidationError,
     basis_state,
     figure_config,
+    figure_scan_config,
     j0_zero,
     landmark_zeros,
     min_population,
@@ -17,6 +20,8 @@ from floquet_lattice import (
     scan_min_p1,
     scan_spectrum,
 )
+from floquet_lattice.experiments import write_manifest
+from floquet_lattice.floquet import OVERLAP_AMBIGUITY
 from floquet_lattice.propagator import folded_min_population, one_period_table
 from helpers import direct_propagate
 
@@ -52,6 +57,30 @@ def test_config_validation():
 def test_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValidationError, match=name):
         small_config(**{name: value})
+
+
+def test_config_stores_numpy_counts_as_int(tmp_path):
+    config = small_config(grid_points=np.int64(3), horizon_periods=np.int64(5),
+                          steps_per_period=np.int64(500),
+                          initial_site=np.int32(1))
+    for name in ("grid_points", "horizon_periods", "steps_per_period",
+                 "initial_site"):
+        assert type(getattr(config, name)) is int
+    written = write_manifest(tmp_path, config.to_json_dict(), time.perf_counter())
+    assert json.loads((tmp_path / "manifest.json").read_text()) == written
+
+
+def test_failed_manifest_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        write_manifest(tmp_path, {"grid_points": object()}, time.perf_counter())
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite keeps the previous manifest whole
+    write_manifest(tmp_path, {"grid_points": 3}, time.perf_counter())
+    before = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(TypeError):
+        write_manifest(tmp_path, {"grid_points": object()}, time.perf_counter())
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert (tmp_path / "manifest.json").read_bytes() == before
 
 
 def test_landmark_zeros():
@@ -127,6 +156,24 @@ def test_spectrum_scan_refines_grid_near_zeros():
     fine = scan_spectrum(config, classify=True)
     assert coarse.ratios.size == 9
     assert fine.ratios.size > 9 * 4
+
+
+@pytest.mark.parametrize("n_sites", [10, 12])
+def test_spectrum_scan_at_large_n_matches_optimal_pairing(n_sites):
+    # 12! = 4.8e8 pairings per grid step: matching must prune, not enumerate
+    base = figure_scan_config("fig4").base_spec.replace(n_sites=n_sites)
+    config = ScanConfig(base_spec=base, grid_start=0.0, grid_stop=6.0,
+                        grid_points=11)
+    started = time.perf_counter()
+    result = scan_spectrum(config, classify=False)
+    assert time.perf_counter() - started < 60.0
+    vecs = np.array([b.vectors for b in result.branch_set.branches])
+    for i in range(1, config.grid_points):
+        overlap = np.abs(vecs[:, i - 1].conj() @ vecs[:, i].T)
+        rows, cols = linear_sum_assignment(overlap, maximize=True)
+        # the kept pairing is the best or a near-tie of it
+        assert (np.trace(overlap)
+                >= overlap[rows, cols].sum() - OVERLAP_AMBIGUITY - 1e-12)
 
 
 def test_figure_config_loading():

@@ -20,10 +20,19 @@ from floquet_lattice import (
     monodromy,
     track_branches,
 )
-from floquet_lattice.floquet import _gap_probe
+from floquet_lattice.floquet import (
+    _best_permutation,
+    _gap_probe,
+    _unpruned_matchings,
+)
 from floquet_lattice.propagator import one_period_table
 
-from helpers import circular_match, fold_into_zone, static_eigenvalues
+from helpers import (
+    circular_match,
+    enumerate_best_permutation,
+    fold_into_zone,
+    static_eigenvalues,
+)
 
 
 def spec_n(n, **kw):
@@ -220,6 +229,73 @@ def test_track_branches_equals_per_point_modes():
         assert np.array_equal(
             np.array([b.avg_populations[i] for b in branches])[order],
             [m.avg_populations for m in modes])
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _next_modes(kind, rng, prev):
+    """Modes (rows) one grid step after ``prev``, of the given kind."""
+    n = prev.shape[0]
+    if kind == "unitary":
+        return _random_unitary(rng, n)
+    if kind == "permuted":
+        return prev[rng.permutation(n)]
+    if kind == "rotation":
+        h = 0.05 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return prev @ scipy.linalg.expm(1j * (h + h.conj().T)).T
+    # a two-mode mix at 45 degrees, exact or off by up to 3e-4 rad: the two
+    # pairings score within OVERLAP_AMBIGUITY of each other
+    theta = math.pi / 4 + (0.0 if kind == "mix45" else rng.uniform(-3e-4, 3e-4))
+    a, b = rng.choice(n, 2, replace=False)
+    nxt = prev.copy()
+    nxt[a] = math.cos(theta) * prev[a] + math.sin(theta) * prev[b]
+    nxt[b] = -math.sin(theta) * prev[a] + math.cos(theta) * prev[b]
+    return nxt
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 7),
+    kind=st.sampled_from(["rotation", "mix45", "near45", "unitary",
+                          "permuted"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_permutation_matches_enumeration(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    prev = _random_unitary(rng, n)
+    nxt = _next_modes(kind, rng, prev)
+    prev_eps, next_eps = rng.uniform(-5.0, 5.0, size=(2, n))
+    assert _best_permutation(prev, nxt, prev_eps, next_eps, 10.0) == \
+        enumerate_best_permutation(prev, nxt, prev_eps, next_eps, 10.0)
+
+
+@pytest.mark.parametrize("next_eps", [np.zeros(5),
+                                      np.array([0.3, -0.3, 0.3, -0.3, 0.0])])
+def test_best_permutation_all_tie_dft(next_eps):
+    # every one of the 5! pairings scores sqrt(5) up to rounding: all are
+    # near-ties, the search keeps them all, and the winner rests on the
+    # lexicographic order of the candidates and of the first best score
+    n = 5
+    dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    dft /= math.sqrt(n)
+    prev_eps = np.zeros(n)
+    got = _best_permutation(np.eye(n), dft, prev_eps, next_eps, 10.0)
+    assert got[1]
+    assert got == enumerate_best_permutation(np.eye(n), dft, prev_eps,
+                                             next_eps, 10.0)
+    assert len(_unpruned_matchings(np.abs(dft).tolist())) == math.factorial(n)
+
+
+def test_unpruned_matchings_cut_a_reversed_order():
+    # the lexicographically first pairing scores 0 and the best is the last
+    # one; a running-best floor keeps 119 of the 8! = 40320 pairings
+    n = 8
+    kept = _unpruned_matchings(np.eye(n)[::-1].tolist())
+    assert kept[-1] == (float(n), tuple(range(n - 1, -1, -1)))
+    assert len(kept) < 1000
 
 
 @pytest.mark.parametrize("steps", [0, 99, 500.0, True])
