@@ -7,6 +7,8 @@ of the same configuration produce byte-identical files on any platform.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -24,39 +26,30 @@ def _write_lines(path, lines) -> None:
             fh.write("\n")
 
 
+def _write_table(path, header: str, table, comment: str | None = None) -> None:
+    """One line per row of the 2-D float ``table``, each cell in ``fmt``'s
+    form: repr of the Python floats of the row's ``tolist``."""
+    head = [f"# {comment}"] if comment else []
+    rows = (",".join(map(repr, row.tolist()))
+            for row in np.asarray(table, dtype=float))
+    _write_lines(path, itertools.chain(head, [header], rows))
+
+
 def write_trajectory(path, times, amplitudes, comment: str | None = None) -> None:
     """Trajectory CSV: header t,re_a1,im_a1,...,re_aN,im_aN, one row per sample."""
     n = amplitudes.shape[1]
     header = "t," + ",".join(f"re_a{j},im_a{j}" for j in range(1, n + 1))
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(header)
-    for t, row in zip(times, amplitudes):
-        cells = [fmt(t)]
-        for z in row:
-            cells.append(fmt(z.real))
-            cells.append(fmt(z.imag))
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    re_im = np.ascontiguousarray(amplitudes, dtype=complex).view(float)
+    _write_table(path, header, np.column_stack((times, re_im)), comment)
 
 
 def write_population_series(path, times, values, comment: str | None = None) -> None:
     """Two-column series CSV: t,p1."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("t,p1")
-    for t, v in zip(times, values):
-        lines.append(f"{fmt(t)},{fmt(v)}")
-    _write_lines(path, lines)
+    _write_table(path, "t,p1", np.column_stack((times, values)), comment)
 
 
 def write_min_p1_scan(path, ratios, min_p1) -> None:
-    lines = ["a2_over_omega,min_p1"]
-    for r, m in zip(ratios, min_p1):
-        lines.append(f"{fmt(r)},{fmt(m)}")
-    _write_lines(path, lines)
+    _write_table(path, "a2_over_omega,min_p1", np.column_stack((ratios, min_p1)))
 
 
 def write_spectrum(path, ratios, branches, include_residual: bool = False) -> None:
@@ -97,23 +90,15 @@ def write_monodromy(path, matrix) -> None:
     """Debug dump of U: row-major, interleaved real/imag columns."""
     n = matrix.shape[0]
     header = ",".join(f"re_c{j},im_c{j}" for j in range(1, n + 1))
-    lines = [header]
-    for row in matrix:
-        cells = []
-        for z in row:
-            cells.append(fmt(z.real))
-            cells.append(fmt(z.imag))
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    _write_table(path, header,
+                 np.ascontiguousarray(matrix, dtype=complex).view(float))
 
 
 def write_heatmap(path, times, a2_values, p1_grid, comment: str | None = None) -> None:
     """Long-form heatmap CSV (t, a2, p1); p1_grid is (len(a2_values), len(times))."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("t,a2,p1")
-    for i, a2 in enumerate(a2_values):
-        for k, t in enumerate(times):
-            lines.append(f"{fmt(t)},{fmt(a2)},{fmt(p1_grid[i, k])}")
-    _write_lines(path, lines)
+    times, a2_values = np.asarray(times), np.asarray(a2_values)
+    _write_table(path, "t,a2,p1", np.column_stack((
+        np.tile(times, a2_values.size),
+        np.repeat(a2_values, times.size),
+        np.ravel(p1_grid),
+    )), comment)

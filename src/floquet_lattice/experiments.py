@@ -351,23 +351,28 @@ def _config_from_raw(raw: dict) -> ScanConfig:
     )
 
 
-def _series_outputs(raw, config, out_dir) -> list[str]:
-    """Per-showcase-amplitude population series panels."""
-    series = raw["series"]
+def _folded_series(config, ratios, periods: int, stride: int):
+    """(times, populations) of the observed site at every ratio: one table,
+    then one folded series per grid point, (ratios, samples)."""
     spec = config.base_spec
-    ratios = np.asarray(series["a2_over_omega"], dtype=float)
-    periods = int(series["periods"])
-    stride = int(series["stride"])
     initial = basis_state(spec.n_sites, config.initial_site).amplitudes
     table = one_period_table(
         spec, ratios * spec.omega, config.steps_per_period,
         site=config.initial_site,
     )
+    folds = [folded_population_series(table, i, initial, periods, stride=stride)
+             for i in range(ratios.size)]
+    return folds[0][0], np.array([values for _, values in folds])
+
+
+def _series_outputs(raw, config, out_dir) -> list[str]:
+    """Per-showcase-amplitude population series panels."""
+    series = raw["series"]
+    ratios = np.asarray(series["a2_over_omega"], dtype=float)
+    times, grid = _folded_series(config, ratios, int(series["periods"]),
+                                 int(series["stride"]))
     names = []
-    for i, r in enumerate(ratios):
-        times, values = folded_population_series(
-            table, i, initial, periods, stride=stride
-        )
+    for r, values in zip(ratios, grid):
         name = f"series_r{csvio.fmt(float(r))}.csv"
         csvio.write_population_series(
             out_dir / name, times, values,
@@ -381,22 +386,10 @@ def _heatmap_outputs(raw, config, out_dir) -> list[str]:
     """Numeric and averaged-model P1(t, a2) long-form heatmap data."""
     heat = raw["heatmap"]
     spec = config.base_spec
-    periods = int(heat["periods"])
-    stride = int(heat["stride"])
     ratios = config.grid()
     a2_values = ratios * spec.omega
-    initial = basis_state(spec.n_sites, config.initial_site).amplitudes
-    table = one_period_table(
-        spec, a2_values, config.steps_per_period, site=config.initial_site
-    )
-    times = None
-    grid = None
-    for i in range(ratios.size):
-        t, v = folded_population_series(table, i, initial, periods, stride=stride)
-        if grid is None:
-            times = t
-            grid = np.empty((ratios.size, t.size))
-        grid[i] = v
+    times, grid = _folded_series(config, ratios, int(heat["periods"]),
+                                 int(heat["stride"]))
     csvio.write_heatmap(out_dir / "heatmap_numeric.csv", times, a2_values, grid)
 
     ana = np.empty_like(grid)

@@ -273,19 +273,18 @@ def _best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
     for score, perm in kept:
         if score > best_score:
             best_score, best_perm = score, perm
-    near = [
-        (score, perm) for score, perm in kept
-        if best_score - score < OVERLAP_AMBIGUITY and perm != best_perm
-    ]
-    ambiguous = bool(near)
+
+    def ties():  # the best and its near-ties, in lexicographic order
+        return (perm for score, perm in kept
+                if best_score - score < OVERLAP_AMBIGUITY)
+    ambiguous = any(perm != best_perm for perm in ties())
     if ambiguous:
         gaps = _circular_gap(np.asarray(prev_eps)[:, np.newaxis],
                              np.asarray(next_eps)[np.newaxis, :], omega).tolist()
 
-        def eps_cost(perm):
-            return sum(gaps[i][perm[i]] for i in range(n))
-        candidates = [(best_score, best_perm)] + near
-        best_perm = min(candidates, key=lambda item: eps_cost(item[1]))[1]
+        def key(perm):  # on equal cost the best, then the first near-tie
+            return sum(gaps[i][perm[i]] for i in range(n)), perm != best_perm
+        best_perm = min(ties(), key=key)
     return best_perm, ambiguous
 
 

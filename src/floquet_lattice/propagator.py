@@ -8,7 +8,8 @@ periods factors through the one-period map: a(t0 + m T + tau) =
 V(tau) U^m a(t0). ``propagate`` and the folded helpers below evaluate every
 integrator step of a long horizon that way, from one period of stepping;
 they compose exactly the same RK4 one-step maps, so they agree with direct
-stepping to rounding.
+stepping to rounding. One fold, ``_fold``, forms every such product a
+block of periods at a time, so memory is bounded whatever the horizon.
 
 Every one-period quantity goes through the step-matrix kernel. The equation
 is linear, so one RK4 step is multiplication by a fixed n x n matrix R_k, the
@@ -26,9 +27,9 @@ and the coefficient blocks depend on n and the step count alone. That is
 what makes worker-count invariance exact.
 
 ``basis_sweep`` starts the sweep from the site basis and returns the
-one-period operators U(T, 0); ``monodromy``, ``one_period_table``,
-``propagate`` (and through it ``propagation_norm_drift``) and branch
-tracking call it. ``period_average`` starts it from mode vectors. The
+one-period operators U(T, 0); ``monodromy``, branch tracking and, through
+``_row_table``, ``one_period_table`` and ``propagate`` (and through it
+``propagation_norm_drift``) call it. ``period_average`` starts it from mode vectors. The
 direct step loop, row states advanced by slice arithmetic, lives in the
 tests as the independent reference the kernel and every folded path are
 checked against.
@@ -327,9 +328,9 @@ def propagate(
 
     One basis sweep over the period from ``initial.time`` gives the table
     V(tau_s), and the state at step m * steps_per_period + s is
-    V(tau_s) U^m a(t0). The horizon is folded over blocks of periods sized
-    from CHUNK_BYTES, so memory holds the stored samples, the table, one
-    vector per period and one block, never every step.
+    V(tau_s) U^m a(t0), evaluated by ``_fold``. Memory holds the stored
+    samples, the table, one vector per period and one block of periods,
+    never every step.
 
     Raises IntegrationFailure if the norm drifts beyond the hard bound at
     any step of the horizon, carrying the time of the first such step. Like
@@ -349,8 +350,7 @@ def propagate(
     if t_final <= initial.time:
         raise ValidationError("t_final must exceed the initial time")
     h = _step_size(spec, steps_per_period)
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
+    require_int("stride", stride, 1)
     nsteps = max(1, int(round((t_final - initial.time) / h)))
     if nsteps % stride != 0:
         raise ValidationError(
@@ -358,24 +358,16 @@ def propagate(
         )
 
     n, spp, t0 = spec.n_sites, steps_per_period, initial.time
-    # table[j, s] is row state s of basis image j, s < spp
-    table = np.empty((n, spp, n), dtype=complex)
-
-    def collect(first, states):
-        last = min(first + len(states), spp)
-        table[:, first:last] = states[:last - first, 0].transpose(1, 0, 2)
-
-    (u,), _ = basis_sweep(spec, [spec.a2], spp, on_chunk=collect, t0=t0)
+    (u,), rows, _ = _row_table(spec, [spec.a2], spp, list(range(n)), t0)
     w, _ = _period_starts(u, initial.amplitudes, nsteps // spp)
-    table = table.reshape(n, spp * n)
 
     stored = np.empty((nsteps // stride + 1, n), dtype=complex)
     min_pops = np.ones(n)
     max_dev = 0.0
-    block = max(1, CHUNK_BYTES // (16 * spp * n))
-    for m0 in range(0, w.shape[1], block):
+    for m0, block in _fold(rows[:spp, 0].reshape(spp * n, n), w):
         j0 = m0 * spp  # samples j0, j0 + 1, ... in step order
-        amps = (w[:, m0:m0 + block].T @ table).reshape(-1, n)[:nsteps + 1 - j0]
+        amps = block.reshape(spp, n, -1).transpose(2, 0, 1).reshape(-1, n)
+        amps = amps[:nsteps + 1 - j0]
         pops = amps.real**2 + amps.imag**2
         dev = np.abs(pops.sum(axis=1) - 1.0)
         if j0 == 0:
@@ -452,24 +444,32 @@ def one_period_table(
     site: int = 1,
 ) -> PeriodTable:
     """Propagate the full basis over one period for many a2 values at once."""
-    n = base_spec.n_sites
-    col = _check_site(n, site)
-    b = np.size(a2_values)
-    _step_size(base_spec, steps_per_period)  # checked before it sizes rows
-    rows = np.empty((steps_per_period + 1, b, n), dtype=complex)
-
-    def collect(first, states):
-        rows[first:first + len(states)] = states[..., col]
-
-    monodromies, max_dev = basis_sweep(base_spec, a2_values, steps_per_period,
-                                       on_chunk=collect)
+    col = _check_site(base_spec.n_sites, site)
+    monodromies, rows, max_dev = _row_table(base_spec, a2_values,
+                                            steps_per_period, [col])
     return PeriodTable(
         monodromies=monodromies.copy(),
-        site_rows=rows,
+        site_rows=rows[:, :, 0],
         steps_per_period=steps_per_period,
         period=base_spec.period,
         max_norm_deviation=max_dev,
     )
+
+
+def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
+               sites: list[int], t0: float = 0.0):
+    """(U(t0 + T, t0) per point, rows, worst norm deviation), rows[s, p, i]
+    being row sites[i] of point p's U(t_s, t0), s = 0..steps_per_period."""
+    _step_size(spec, steps_per_period)  # checked before it sizes rows
+    rows = np.empty((steps_per_period + 1, np.size(a2_values), len(sites),
+                     spec.n_sites), dtype=complex)
+
+    def collect(first, states):  # row j of a state is U(t_s, t0)[:, j]
+        rows[first:first + len(states)] = states[..., sites].swapaxes(-1, -2)
+
+    u, max_dev = basis_sweep(spec, a2_values, steps_per_period,
+                             on_chunk=collect, t0=t0)
+    return u, rows, max_dev
 
 
 def _period_starts(u: np.ndarray, a0: np.ndarray,
@@ -484,6 +484,33 @@ def _period_starts(u: np.ndarray, a0: np.ndarray,
     return w, float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
 
 
+def _fold(rows: np.ndarray, w: np.ndarray):
+    """Yield (m0, rows @ w[:, m0:m0 + b]) over blocks of b period starts.
+
+    b fills CHUNK_BYTES, rounded down to a multiple of 8 (at least 8), and
+    a lone last column, which numpy would hand to a matrix-vector product,
+    joins the block before it: no edge cuts a BLAS column panel, so every
+    value is the float of the one product rows @ w.
+    """
+    b = max(8, CHUNK_BYTES // (16 * len(rows)) // 8 * 8)
+    total = w.shape[1]
+    starts = list(range(0, max(total - 1, 1), b))
+    for m0, m1 in zip(starts, starts[1:] + [total]):
+        yield m0, rows @ w[:, m0:m1]
+
+
+def _table_starts(table: PeriodTable, point, initial, periods):
+    """Checked, drift-gated ``_period_starts`` of one point of ``table``."""
+    count = len(table.monodromies)
+    require_int("point", point, 0)
+    if point >= count:
+        raise ValidationError(f"point must be < {count}, got {point}")
+    require_int("periods", periods, 1)
+    w, drift = _period_starts(table.monodromies[point], initial, periods)
+    _norm_gate(drift, periods * table.period, "across periods")
+    return w, drift
+
+
 def folded_min_population(
     table: PeriodTable, point: int, initial: np.ndarray, periods: int
 ) -> tuple[float, float]:
@@ -493,17 +520,15 @@ def folded_min_population(
     one-period map instead of re-stepping every period. The sample set covers
     every integrator step from t=0 through t = periods * T inclusive.
     """
-    w, drift = _period_starts(table.monodromies[point], initial, periods)
-    _norm_gate(drift, periods * table.period, "across periods")
-    p = np.abs(table.site_rows[:, point, :] @ w[:, :periods]) ** 2
-    return float(p.min()), max(drift, table.max_norm_deviation)
+    w, drift = _table_starts(table, point, initial, periods)
+    low = np.inf
+    for _, amps in _fold(table.site_rows[:, point], w[:, :periods]):
+        low = np.minimum(low, (np.abs(amps) ** 2).min())
+    return float(low), max(drift, table.max_norm_deviation)
 
 
 def folded_population_series(
-    table: PeriodTable,
-    point: int,
-    initial: np.ndarray,
-    periods: int,
+    table: PeriodTable, point: int, initial: np.ndarray, periods: int,
     stride: int = 1,
 ):
     """(times, populations) of the observed site over ``periods`` periods.
@@ -512,23 +537,19 @@ def folded_population_series(
     must divide steps_per_period.
     """
     spp = table.steps_per_period
+    require_int("stride", stride, 1)
     if spp % stride != 0:
         raise ValidationError(f"stride {stride} must divide {spp}")
-    if periods < 1:
-        raise ValidationError("periods must be >= 1")
-    w, drift = _period_starts(table.monodromies[point], initial, periods)
-    _norm_gate(drift, periods * table.period, "across periods")
-    rows = table.site_rows[::stride, point, :]      # (spp/stride + 1, n)
-    amp = rows[:-1] @ w[:, :periods]                # (s, m) samples
-    pops = np.abs(amp) ** 2
-    series = pops.flatten(order="F")
-    h = table.period / spp
-    times = np.arange(series.size) * (h * stride)
-    # final sample at t = periods * T
-    last_row = table.site_rows[-1, point, :]
-    final = float(np.abs(last_row @ w[:, periods - 1]) ** 2)
-    times = np.concatenate([times, [periods * table.period]])
-    series = np.concatenate([series, [final]])
+    w, _ = _table_starts(table, point, initial, periods)
+    rows = table.site_rows[:, point]
+    k = spp // stride  # samples per period
+    series = np.empty(periods * k + 1)
+    for m0, amps in _fold(rows[:-1:stride], w[:, :periods]):
+        series[m0 * k:(m0 + amps.shape[1]) * k] = (
+            np.abs(amps) ** 2).ravel(order="F")
+    series[-1] = np.abs(rows[-1] @ w[:, periods - 1]) ** 2  # t = periods * T
+    times = np.arange(series.size) * (table.period / spp * stride)
+    times[-1] = periods * table.period
     return times, series
 
 

@@ -6,8 +6,9 @@ static-spectrum oracle is a dense Hermitian eigensolve of the undriven
 coupling matrix, the averaged-Hamiltonian oracle is the same eigensolve
 with every coupling renormalized by the quadrature J_0, and the propagation
 oracle is a direct RK4 step loop over row states, H(t) applied by slice
-arithmetic at every step of the horizon. The branch-matching oracle scores
-every one of the n! permutations.
+arithmetic at every step of the horizon. The period-fold oracle evaluates
+a whole horizon as one product of a period's site rows with every period
+start. The branch-matching oracle scores every one of the n! permutations.
 """
 
 import itertools
@@ -207,6 +208,42 @@ def direct_propagate(spec, initial, t_final, steps_per_period, stride=1):
         min_populations=min_pops,
         max_norm_deviation=max_dev,
     )
+
+
+# ---------------------------------------------------------------------------
+# One-product period fold
+
+
+def _starts(table, point, initial, periods):
+    """Columns U^m a0 for m = 0..periods - 1."""
+    u = table.monodromies[point]
+    w = np.empty((u.shape[0], periods), dtype=complex)
+    cur = np.asarray(initial, dtype=complex)
+    for m in range(periods):
+        w[:, m] = cur
+        cur = u @ cur
+    return w
+
+
+def one_product_min_population(table, point, initial, periods):
+    """``folded_min_population``'s minimum from one (steps + 1) x periods
+    product of every site row with every period start."""
+    w = _starts(table, point, initial, periods)
+    return float((np.abs(table.site_rows[:, point, :] @ w) ** 2).min())
+
+
+def one_product_population_series(table, point, initial, periods, stride):
+    """``folded_population_series``'s (times, populations) from one product
+    of the stride rows with every period start, plus the end-of-horizon
+    sample from the end-of-period row."""
+    spp = table.steps_per_period
+    w = _starts(table, point, initial, periods)
+    rows = table.site_rows[::stride, point, :]
+    series = (np.abs(rows[:-1] @ w) ** 2).flatten(order="F")
+    final = np.abs(table.site_rows[-1, point, :] @ w[:, -1]) ** 2
+    times = np.arange(series.size + 1) * (table.period / spp * stride)
+    times[-1] = periods * table.period
+    return times, np.append(series, final)
 
 
 # ---------------------------------------------------------------------------

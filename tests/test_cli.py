@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -224,3 +227,16 @@ def test_workers_env_below_one(tmp_path, spec_file, monkeypatch, capsys,
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def test_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize costs about 20 MB of peak memory
+    import floquet_lattice
+
+    src = os.path.dirname(os.path.dirname(floquet_lattice.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, floquet_lattice, floquet_lattice.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

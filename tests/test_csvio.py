@@ -2,7 +2,25 @@ import numpy as np
 
 from floquet_lattice import SystemSpec, basis_state, effective_params, \
     effective_propagate
-from floquet_lattice.csvio import fmt, write_trajectory
+from floquet_lattice.csvio import (
+    _write_table,
+    fmt,
+    write_heatmap,
+    write_min_p1_scan,
+    write_monodromy,
+    write_population_series,
+    write_trajectory,
+)
+
+AWKWARD = [0.0, -0.0, 1e-300, -5e-324, float("nan"), float("inf"),
+           -float("inf"), 0.1, 1.0 / 3.0, 1e16, -2.5e-7, 123456.789012345678]
+
+
+def _fmt_lines(rows, header, comment=None):
+    """The table as ``fmt`` formats it cell by cell."""
+    lines = ([f"# {comment}"] if comment else []) + [header]
+    lines += [",".join(fmt(x) for x in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 def test_fmt_round_trips_floats():
@@ -42,3 +60,45 @@ def test_rotating_frame_marker(tmp_path):
     assert lines[0] == "# frame=rotating"
     assert lines[1].startswith("t,re_a1")
     assert len(lines) == 13
+
+
+def test_table_writer_matches_fmt_per_cell(tmp_path):
+    rng = np.random.default_rng(3)
+    table = np.concatenate([np.reshape(AWKWARD, (4, 3)),
+                            rng.normal(size=(5, 3)) * 10.0 ** rng.integers(
+                                -300, 300, size=(5, 3))])
+    path = tmp_path / "table.csv"
+    _write_table(path, "a,b,c", table, comment="note")
+    assert path.read_bytes() == _fmt_lines(table, "a,b,c", "note").encode()
+
+
+def test_float_writers_match_fmt_per_cell(tmp_path):
+    rng = np.random.default_rng(4)
+    times = np.array(AWKWARD)
+    amps = np.array(AWKWARD)[:, None] * (1.0 + 1j * rng.normal(size=(1, 2)))
+    cells = [(t, *(v for z in row for v in (z.real, z.imag)))
+             for t, row in zip(times, amps)]
+    write_trajectory(tmp_path / "traj.csv", times, amps, comment="c")
+    assert (tmp_path / "traj.csv").read_text() == _fmt_lines(
+        cells, "t,re_a1,im_a1,re_a2,im_a2", "c")
+
+    write_population_series(tmp_path / "series.csv", times, times[::-1])
+    assert (tmp_path / "series.csv").read_text() == _fmt_lines(
+        zip(times, times[::-1]), "t,p1")
+
+    write_min_p1_scan(tmp_path / "minp1.csv", times, times ** 2)
+    assert (tmp_path / "minp1.csv").read_text() == _fmt_lines(
+        zip(times, times ** 2), "a2_over_omega,min_p1")
+
+    write_monodromy(tmp_path / "u.csv", amps[:2])
+    assert (tmp_path / "u.csv").read_text() == _fmt_lines(
+        [[v for z in row for v in (z.real, z.imag)] for row in amps[:2]],
+        "re_c1,im_c1,re_c2,im_c2")
+
+    a2 = np.array([0.0, -0.0, 2.5])
+    grid = rng.normal(size=(3, times.size))
+    grid[1, 2] = np.nan
+    write_heatmap(tmp_path / "heat.csv", times, a2, grid, comment="h")
+    assert (tmp_path / "heat.csv").read_text() == _fmt_lines(
+        [(t, a, grid[i, k]) for i, a in enumerate(a2)
+         for k, t in enumerate(times)], "t,a2,p1", "h")

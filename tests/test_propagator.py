@@ -25,7 +25,14 @@ from floquet_lattice.propagator import (
     one_period_table,
     period_average,
 )
-from helpers import _edge_amps, _rhs, _rk4_advance, direct_propagate
+from helpers import (
+    _edge_amps,
+    _rhs,
+    _rk4_advance,
+    direct_propagate,
+    one_product_min_population,
+    one_product_population_series,
+)
 
 
 def spec3(**kw):
@@ -253,6 +260,82 @@ def test_folded_series_matches_direct():
     assert np.max(np.abs(series - p_direct)) < 1e-9
 
 
+# at 2000 steps a block is 8 periods of the 2001 site rows, 8 periods of
+# the 2000 series rows at stride 1 and 160 periods at stride 20; horizons
+# end on a block edge, leave a remainder block, or leave one period, which
+# joins the block before it
+@pytest.mark.parametrize("periods", [1, 40, 43, 41, 161])
+def test_folded_paths_equal_one_product_fold(periods):
+    spec = SystemSpec(n_sites=4, omega0=1.0, nu0=0.0, a1=22.0, a2=0.0,
+                      omega=10.0)
+    table = one_period_table(spec, np.array([0.0, 20.0, 24.0]), 2000, site=1)
+    a0 = basis_state(4, 1).amplitudes
+    for point in range(3):
+        low, _ = folded_min_population(table, point, a0, periods)
+        assert low == one_product_min_population(table, point, a0, periods)
+        for stride in (1, 20):
+            got = folded_population_series(table, point, a0, periods, stride)
+            want = one_product_population_series(table, point, a0, periods,
+                                                 stride)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_folded_min_population_memory_is_bounded():
+    # one product of every step with every period start would be
+    # 2001 x 2000 complex values, 64 MB
+    import tracemalloc
+
+    spec = SystemSpec(n_sites=4, omega0=1.0, nu0=0.0, a1=22.0, a2=24.0,
+                      omega=10.0)
+    table = one_period_table(spec, np.array([spec.a2]), 2000, site=1)
+    a0 = basis_state(4, 1).amplitudes
+    tracemalloc.start()
+    try:
+        folded_min_population(table, 0, a0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def _small_table():
+    return one_period_table(spec3(), np.array([0.0, 20.0]), 500, site=1)
+
+
+@pytest.mark.parametrize("stride", [-5, 0, 2.0, True, 7])
+def test_folded_series_rejects_bad_stride(stride):
+    with pytest.raises(ValidationError, match="stride"):
+        folded_population_series(_small_table(), 0,
+                                 basis_state(3, 1).amplitudes, 4, stride)
+
+
+@pytest.mark.parametrize("periods", [0, -1, 2.0, True])
+def test_folded_paths_reject_bad_periods(periods):
+    table, a0 = _small_table(), basis_state(3, 1).amplitudes
+    with pytest.raises(ValidationError, match="periods"):
+        folded_min_population(table, 0, a0, periods)
+    with pytest.raises(ValidationError, match="periods"):
+        folded_population_series(table, 0, a0, periods)
+
+
+@pytest.mark.parametrize("point", [-1, 2, 1.0, True])
+def test_folded_paths_reject_bad_point(point):
+    table, a0 = _small_table(), basis_state(3, 1).amplitudes
+    with pytest.raises(ValidationError, match="point"):
+        folded_min_population(table, point, a0, 4)
+    with pytest.raises(ValidationError, match="point"):
+        folded_population_series(table, point, a0, 4)
+
+
+@pytest.mark.parametrize("stride", [2.0, True, 0, -1])
+def test_propagate_rejects_bad_stride(stride):
+    spec = spec3()
+    with pytest.raises(ValidationError, match="stride"):
+        propagate(spec, basis_state(3, 1), t_final=spec.period,
+                  steps_per_period=500, stride=stride)
+
+
 def test_norm_drift_report_matches_direct():
     spec = spec3(a2=24.0)
     direct = direct_propagate(spec, basis_state(3, 1), 5 * spec.period,
@@ -296,11 +379,12 @@ def test_propagate_matches_direct_over_200_periods():
         _assert_matches_direct(traj, direct)
 
 
-# the last case folds 4700 steps in blocks of two periods, and stride 47
-# starts the second block's stored samples 5 steps in
+# the last case folds 18700 steps in blocks of eight periods, and stride 17
+# starts the second block's stored samples 14 steps in
 @pytest.mark.parametrize("n_sites, nu0, periods, stride", [(4, 0.2, 5.0, 1),
                                                            (6, 0.0, 5.0, 1),
-                                                           (3, 0.0, 2.35, 47)])
+                                                           (3, 0.0, 2.35, 47),
+                                                           (3, 0.0, 9.35, 17)])
 def test_propagate_matches_direct(n_sites, nu0, periods, stride):
     spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=22.0, a2=24.0,
                       omega=10.0)
