@@ -134,13 +134,15 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _workers(args) -> int:
-    """--workers, else $FLOQUET_LATTICE_WORKERS, else the CPU count; a value
-    below 1 is a validation error."""
+    """--workers, else $FLOQUET_LATTICE_WORKERS, else the number of CPUs
+    this process may run on; a value below 1 is a validation error."""
     if args.workers is not None:
         value, source = args.workers, "--workers"
     else:
         env = os.environ.get(WORKERS_ENV)
         if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         try:
             value, source = int(env), WORKERS_ENV

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -40,6 +39,7 @@ from .propagator import (
     basis_state,
     folded_min_population,
     folded_population_series,
+    map_chunks,
     one_period_table,
 )
 from .specfun import MAX_ZERO_INDEX, j0_zero
@@ -125,25 +125,14 @@ def landmark_zeros(start: float, stop: float) -> list[float]:
     return zeros
 
 
-def _pool_chunks(n_items: int, workers: int) -> list[np.ndarray]:
-    return np.array_split(np.arange(n_items), max(1, min(workers, n_items)))
-
-
-class _ChunkFailure(Exception):
-    """Internal: one grid point failed; carries the chunk's finished points."""
-
-    def __init__(self, done: list, cause: Exception):
-        super().__init__(str(cause))
-        self.done = done
-        self.cause = cause
-
-
 def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
     """Min(P1) over the horizon at every grid point.
 
-    Grid points are independent work units; the output is identical for any
-    worker count. If a point fails its numerical quality gates, the raised
-    ScanInterrupted carries the records of every point that completed.
+    The grid is split into ``workers`` chunks of consecutive points
+    (``map_chunks``), each with one ``one_period_table``; the output is
+    identical for any worker count. If a point fails its numerical quality
+    gates, the raised ScanInterrupted carries the records of every point
+    that completed.
     """
     ratios = config.grid()
     spec = config.base_spec
@@ -151,6 +140,8 @@ def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
     site = config.initial_site
 
     def run_chunk(idx):
+        """(done, failure): the chunk's finished (point, Min(P1), drift)
+        records, and the error that stopped it or None."""
         done: list[tuple[int, float, float]] = []
         try:
             table = one_period_table(
@@ -163,35 +154,18 @@ def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
                 )
                 done.append((int(gi), m, dev))
         except (IntegrationFailure, NumericsError) as exc:
-            raise _ChunkFailure(done, exc) from exc
-        return done
+            return done, exc
+        return done, None
 
-    chunks = _pool_chunks(ratios.size, workers)
-    completed: dict[int, float] = {}
-    parts = []
-    failure: Exception | None = None
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(run_chunk, c) for c in chunks]
-            for fut in futures:
-                try:
-                    parts.append(fut.result())
-                except _ChunkFailure as exc:
-                    parts.append(exc.done)
-                    failure = failure or exc.cause
-    else:
-        try:
-            parts.append(run_chunk(chunks[0]))
-        except _ChunkFailure as exc:
-            parts.append(exc.done)
-            failure = exc.cause
-
+    parts = map_chunks(run_chunk, ratios.size, workers)
     out = np.empty(ratios.size)
+    completed: dict[int, float] = {}
     max_dev = 0.0
-    for part in parts:
-        for gi, m, dev in part:
-            out[gi] = m
-            completed[gi] = m
+    failure = None
+    for done, exc in parts:
+        failure = failure or exc
+        for gi, m, dev in done:
+            out[gi] = completed[gi] = m
             max_dev = max(max_dev, dev)
     if failure is not None:
         raise ScanInterrupted(

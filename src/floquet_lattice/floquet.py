@@ -22,7 +22,8 @@ import scipy.linalg
 
 from .errors import NumericsError, ValidationError
 from .model import SystemSpec
-from .propagator import DEFAULT_STEPS_PER_PERIOD, basis_sweep, period_average
+from .propagator import (DEFAULT_STEPS_PER_PERIOD, basis_sweep, map_chunks,
+                         period_average)
 
 UNITARITY_FAILURE_BOUND = 1e-6
 EIGEN_RESIDUAL_BOUND = 1e-7
@@ -288,18 +289,21 @@ def _best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
     return best_perm, ambiguous
 
 
-def _modes_bulk(base_spec: SystemSpec, a2_values: np.ndarray,
+def _modes_bulk(base_spec: SystemSpec, params: np.ndarray, idx: np.ndarray,
                 steps_per_period: int):
-    """Per-point quasi-energies, eigenvectors, populations, and residuals.
+    """Quasi-energies, eigenvectors, populations, and residuals at the grid
+    points ``idx`` of the a2 grid ``params``.
 
     One basis sweep gives every point's U and one period average covers
     every mode of every point; both are row-local, so results do not depend
-    on how the points are chunked.
+    on how the points are chunked. A failing gate names the point by its
+    index in the whole grid and its a2.
     """
+    a2_values = params[idx]
     us, _ = basis_sweep(base_spec, a2_values, steps_per_period)
     modes = []
-    for i, u in enumerate(us):
-        where = f" at grid point {i}"
+    for i, u in zip(idx, us):
+        where = f" at grid point {i} (a2={float(params[i])!r})"
         _check_unitary(u, where)
         modes.append(_sorted_modes(u, base_spec.omega, where))
     eps, vecs, resid = (np.array(arrays) for arrays in zip(*modes))
@@ -318,11 +322,13 @@ def track_branches(
     Modes at consecutive grid points are matched by eigenvector overlap, so
     branches stay continuous through exact crossings where ordering by
     quasi-energy would swap labels. Mode computation for distinct grid
-    points is independent and is spread over ``workers`` chunks; matching
-    itself is sequential and worker-count invariant. Matching a step costs
-    a handful of search nodes when one pairing dominates, as it does
-    between neighbouring grid points, whatever n_sites is; only steps where
-    every pairing is a near-tie cost all n! (see ``_best_permutation``).
+    points is independent and is spread over ``workers`` chunks
+    (``map_chunks``); matching itself is sequential and worker-count
+    invariant. Whether two chunks beat one depends on the figure and the
+    BLAS thread count (README, "Numerical notes"). Matching a step costs a
+    handful of search nodes when one pairing dominates, as it does between
+    neighbouring grid points, whatever n_sites is; only steps where every
+    pairing is a near-tie cost all n! (see ``_best_permutation``).
     """
     specs = list(specs)
     if not specs:
@@ -340,16 +346,10 @@ def track_branches(
 
     n = first.n_sites
     p = len(specs)
-    chunks = np.array_split(params, max(1, min(workers, p)))
-    if len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(
-                lambda a2: _modes_bulk(first, a2, steps_per_period), chunks
-            ))
-    else:
-        parts = [_modes_bulk(first, params, steps_per_period)]
+    parts = map_chunks(
+        lambda idx: _modes_bulk(first, params, idx, steps_per_period),
+        p, workers,
+    )
     eps, vecs, pops, resid = (np.concatenate(arrays) for arrays in zip(*parts))
 
     warnings: list[str] = []

@@ -24,7 +24,8 @@ is sized from one byte budget, CHUNK_BYTES, so memory stays flat in the
 step count and the batch width. A point's result is the same for any
 batch size: its arithmetic is elementwise or one matrix product of its own,
 and the coefficient blocks depend on n and the step count alone. That is
-what makes worker-count invariance exact.
+what makes worker-count invariance exact when ``map_chunks``, the one
+thread pool, splits a scan's grid points into chunks.
 
 ``basis_sweep`` starts the sweep from the site basis and returns the
 one-period operators U(T, 0); ``monodromy``, branch tracking and, through
@@ -37,6 +38,7 @@ checked against.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,6 +309,23 @@ def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
 
     _sweep(spec, a2_values, vectors, steps_per_period, on_chunk=accumulate)
     return acc / steps_per_period
+
+
+def map_chunks(fn, n_items: int, workers: int) -> list:
+    """[fn(idx) for idx in ``workers`` chunks of consecutive indices
+    0..n_items-1], in order: the package's one thread pool.
+
+    More than one chunk runs on a thread pool, whose threads overlap in the
+    kernel's matrix products (they release the interpreter lock). A point's
+    result does not depend on its batch, so results do not depend on
+    ``workers``. A single chunk runs in the calling thread, so Ctrl-C stops
+    it.
+    """
+    chunks = np.array_split(np.arange(n_items), max(1, min(workers, n_items)))
+    if len(chunks) == 1:
+        return [fn(chunks[0])]
+    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(fn, chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,20 @@ def test_workers_env_fallback(tmp_path, spec_file, monkeypatch):
     assert manifest["workers"] == 2
 
 
+def test_workers_default_to_usable_cpus(tmp_path, spec_file, monkeypatch):
+    # a process pinned to one CPU runs one worker, whatever cpu_count says
+    monkeypatch.delenv("FLOQUET_LATTICE_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    out = tmp_path / "pinned"
+    assert main(["scan-minp1", "--config", str(spec_file),
+                 "--grid", "0:0.2:2", "--periods", "2",
+                 "--steps-per-period", "500", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["workers"] == 1
+
+
 def test_workers_env_invalid(tmp_path, spec_file, monkeypatch, capsys):
     monkeypatch.setenv("FLOQUET_LATTICE_WORKERS", "many")
     assert main(["scan-minp1", "--config", str(spec_file),

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from floquet_lattice import (
@@ -131,6 +132,23 @@ def test_scan_interrupted_carries_completed_points():
         scan_min_p1(config, workers=4)
     assert len(err.value.completed) >= 1
     assert all(0.0 <= v <= 1.0 for v in err.value.completed.values())
+    # point 0 carries the value a scan of that one point gives
+    table = one_period_table(spec, np.array([0.0]), 100, site=1)
+    alone, _ = folded_min_population(table, 0, basis_state(2, 1).amplitudes, 2)
+    assert err.value.completed[0] == alone
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(points=st.integers(2, 9), workers=st.integers(1, 6))
+def test_scan_min_p1_worker_invariance(points, workers):
+    # a milder drive than the recipes' a1 = 22, so 100 steps pass the gates
+    config = small_config(base_spec=spec_n(3, a1=10.0), grid_stop=1.0,
+                          grid_points=points, horizon_periods=3,
+                          steps_per_period=100)
+    one = scan_min_p1(config, workers=1)
+    many = scan_min_p1(config, workers=workers)
+    assert np.array_equal(many.min_p1, one.min_p1)
+    assert np.array_equal(many.max_norm_deviation, one.max_norm_deviation)
 
 
 def test_spectrum_scan_dark_branch_and_classification():

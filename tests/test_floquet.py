@@ -231,6 +231,28 @@ def test_track_branches_equals_per_point_modes():
             [m.avg_populations for m in modes])
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_track_branches_failure_names_global_grid_point(monkeypatch, workers):
+    # a non-unitary U injected at point 4 of 6 must be reported as point 4,
+    # with its a2, not by its index inside a chunk of points
+    import floquet_lattice.floquet as fl
+
+    specs = [spec_n(3, a2=float(a2)) for a2 in np.linspace(0.0, 5.0, 6)]
+    bad = 4
+    real_sweep = fl.basis_sweep
+
+    def corrupting_sweep(spec, a2_values, steps_per_period):
+        us, dev = real_sweep(spec, a2_values, steps_per_period)
+        us = us.copy()
+        us[np.asarray(a2_values) == specs[bad].a2] *= 2.0
+        return us, dev
+
+    monkeypatch.setattr(fl, "basis_sweep", corrupting_sweep)
+    with pytest.raises(NumericsError) as err:
+        track_branches(specs, 200, workers=workers)
+    assert f"grid point {bad} (a2={specs[bad].a2!r})" in str(err.value)
+
+
 def _random_unitary(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
