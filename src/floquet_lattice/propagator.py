@@ -312,8 +312,8 @@ def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
 
 
 def map_chunks(fn, n_items: int, workers: int) -> list:
-    """[fn(idx) for idx in ``workers`` chunks of consecutive indices
-    0..n_items-1], in order: the package's one thread pool.
+    """[fn(idx) for idx in at most ``workers`` chunks of consecutive
+    indices 0..n_items-1], in order: the package's one thread pool.
 
     More than one chunk runs on a thread pool, whose threads overlap in the
     kernel's matrix products (they release the interpreter lock). A point's
