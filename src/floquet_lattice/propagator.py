@@ -34,12 +34,35 @@ one-period operators U(T, 0); ``monodromy``, branch tracking and, through
 direct step loop, row states advanced by slice arithmetic, lives in the
 tests as the independent reference the kernel and every folded path are
 checked against.
+
+Min(P1) skips the fold blocks that cannot hold the minimum, and stays
+exact. The drive is diagonal, so it drops out of dP/dt for the observed
+site's population P, and |dP/dt| <= L = ||H0[site, :]|| (for site 1,
+sqrt(omega0^2 + nu0^2)) whatever a1 and a2 are: the population form of the
+Mandelstam-Tamm speed bound (1945). One RK4 step therefore moves P by at
+most c = L h plus a margin (``_step_change``) made of the norm gate's
+1e-6 slack in that bound, RK4's one-step deviation from the exact flow at
+||H|| h, and rounding. ``folded_min_population`` evaluates every
+COARSE_STRIDE-th step of every period; between two such samples P >=
+(P_l + P_r) / 2 - k c / 2 (Piyavskii-Shubert, 1972). It then forms the
+fold's own blocks in ascending order of that bound, stopping once the next
+bound is at or above the running minimum. Each formed block is the
+product ``_fold`` forms, so the minimum is the full fold's float. The
+recipes evaluate 9.2 % (fig4), 8.8 % (fig8), 7.2 % (fig6), 15.5 % (fig7),
+21.3 % (fig5) and 40.3 % (fig2) of their blocks.
+
+The period starts U^m a0 come from ``_period_starts``, one ``np.matmul``
+per period over a stack of operators; each point's floats are those of
+its own matrix-vector products. ``propagate`` passes a stack of one. A
+scan's points get theirs a group at a time: ``_table_starts`` keeps one
+group on the table, as many points as fit STARTS_BYTES (512 KiB, less
+than the 1.25 MB the sweep has freed by then).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +82,23 @@ MIN_STEPS_PER_PERIOD = 100
 # Byte budget of each buffer of the step-matrix kernel: a block's step
 # coefficients, and its step matrices and states at every point.
 CHUNK_BYTES = 1 << 18
+
+# Steps between the coarse samples that bound each fold block's minimum
+# (``folded_min_population``). The coarse products cost 1/COARSE_STRIDE of
+# the full fold, and a wider stride loosens the bounds by L h per step. On
+# the fig4 scan (2 workers, one BLAS thread) 10 / 20 / 40 evaluated 8.1 /
+# 9.2 / 10.8 % of the blocks in 1.41-1.58 / 1.15-1.28 / 1.04-1.27 s; on
+# fig2's 200 periods, 37.7 / 40.3 / 43.0 %. 20 is as fast as 40 within
+# the host's spread and evaluates fewer blocks on short horizons.
+COARSE_STRIDE = 20
+
+# Byte budget of one group of period starts (``_table_starts``). It lives
+# while the fold runs, after the sweep has freed its 1.25 MB of buffers.
+# On the fig4 scan (2 workers, one BLAS thread) 1 point / 512 KiB / 768 KiB
+# / 1 MiB / 2 MiB took 2.0-2.3 / 1.2-1.5 / 1.1-1.3 / 1.1-1.3 / 1.1-1.2 s,
+# at +0.1 / +0.3 / +0.6 / +1.5 / +3.3 MB of peak RSS over the full fold.
+# 512 KiB is 4 points at N = 4 and 2 at N = 6 (2000 periods).
+STARTS_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -378,30 +418,31 @@ def propagate(
 
     n, spp, t0 = spec.n_sites, steps_per_period, initial.time
     (u,), rows, _ = _row_table(spec, [spec.a2], spp, list(range(n)), t0)
-    w, _ = _period_starts(u, initial.amplitudes, nsteps // spp)
+    (w,), _ = _period_starts(u[np.newaxis], initial.amplitudes, nsteps // spp)
 
     stored = np.empty((nsteps // stride + 1, n), dtype=complex)
     min_pops = np.ones(n)
     max_dev = 0.0
     for m0, block in _fold(rows[:spp, 0].reshape(spp * n, n), w):
-        j0 = m0 * spp  # samples j0, j0 + 1, ... in step order
-        amps = block.reshape(spp, n, -1).transpose(2, 0, 1).reshape(-1, n)
-        amps = amps[:nsteps + 1 - j0]
-        pops = amps.real**2 + amps.imag**2
-        dev = np.abs(pops.sum(axis=1) - 1.0)
-        if j0 == 0:
-            dev[0] = 0.0  # the initial state is no step's result
-        bad = ~(dev <= NORM_FAILURE_BOUND)
-        if bad.any():
-            i = int(np.argmax(bad))
-            t = t0 + (j0 + i - 1) * h
-            _norm_gate(float(dev[i]), t + h,
-                       f"across periods, first at t={t + h!r}")
-        max_dev = max(max_dev, float(dev.max()))
-        np.minimum(min_pops, pops.min(axis=0), out=min_pops)
-        first = -j0 % stride
-        stored[(j0 + first) // stride:(j0 + len(amps) - 1) // stride + 1] = (
-            amps[first::stride])
+        for m in range(m0, m0 + block.shape[1]):
+            j0 = m * spp  # samples j0, j0 + 1, ... in step order
+            amps = block[:, m - m0].reshape(spp, n)[:nsteps + 1 - j0]
+            pops = amps.real**2 + amps.imag**2
+            dev = np.abs(pops.sum(axis=1) - 1.0)
+            if j0 == 0:
+                dev[0] = 0.0  # the initial state is no step's result
+            bad = ~(dev <= NORM_FAILURE_BOUND)
+            if bad.any():
+                i = int(np.argmax(bad))
+                t = t0 + (j0 + i - 1) * h
+                _norm_gate(float(dev[i]), t + h,
+                           f"across periods, first at t={t + h!r}")
+            max_dev = max(max_dev, float(dev.max()))
+            np.minimum(min_pops, pops.min(axis=0), out=min_pops)
+            first = -j0 % stride
+            stored[(j0 + first) // stride:(j0 + len(amps) - 1) // stride + 1] = (
+                amps[first::stride])
+        del block, amps  # freed before ``_fold`` forms the next block
     times = t0 + h * stride * np.arange(stored.shape[0])
     return Trajectory(
         spec=spec,
@@ -446,7 +487,9 @@ class PeriodTable:
 
     ``monodromies[b]`` is the one-period operator U_b. ``site_rows[s, b, :]``
     are coefficients c with a_site(tau_s) = c . a(0) for point b, at each of
-    the steps_per_period + 1 intra-period sample times.
+    the steps_per_period + 1 intra-period sample times. ``step_change[b]``
+    bounds |P_{s+1} - P_s| for the observed site between any two
+    consecutive steps at point b (see ``_step_change``).
     """
 
     monodromies: np.ndarray
@@ -454,6 +497,11 @@ class PeriodTable:
     steps_per_period: int
     period: float
     max_norm_deviation: float
+    step_change: np.ndarray
+    # (first point, periods, initial state, starts, drifts) of the last
+    # group of period starts ``_table_starts`` formed, or None
+    _starts: list = field(default_factory=lambda: [None], init=False,
+                          repr=False, compare=False)
 
 
 def one_period_table(
@@ -472,7 +520,41 @@ def one_period_table(
         steps_per_period=steps_per_period,
         period=base_spec.period,
         max_norm_deviation=max_dev,
+        step_change=_step_change(base_spec, a2_values, steps_per_period, col),
     )
+
+
+def _step_change(spec: SystemSpec, a2_values, steps_per_period: int,
+                 col: int) -> np.ndarray:
+    """Per a2, a bound c on the change of P = |a_col|^2 over one RK4 step.
+
+    c = L h (1 + NORM_FAILURE_BOUND) + 2 eps + 16 n machine epsilons:
+
+    * The exact flow. The drive is diagonal, so it drops out of dP/dt:
+      |dP/dt| = 2 |Im(a_col^* sum_k H0[col, k] a_k)| <= 2 sqrt(P (N^2 - P)) L
+      <= N^2 L, with L = ||H0[col, :]|| and N^2 the squared norm, which the
+      norm gate keeps within 1 + NORM_FAILURE_BOUND.
+    * The RK4 step leaves that flow by its local error eps. The step
+      matches the flow through h^4; the h^5 remainder is a sum of products
+      of H and its time derivatives, ||d^j H/dt^j|| <= omega^j max |a|, so
+      with Lam = ||H0||_inf + max(|a1|, |a2|) + omega (at least
+      ||H||_2 + omega) it is about (Lam h)^5 / 5!. Ten times that is taken:
+      RK4 loses (||H|| h)^6 / 72 of the norm per step, so the gate keeps
+      ||H|| h near 0.2 or below, and omega h <= 2 pi / 100. An amplitude
+      error eps moves P by at most 2 eps.
+    * Rounding in the sweep's step (Horner's rule and one matrix product)
+      moves P by under 16 n machine epsilons.
+
+    At the recipes Lam h is about 0.023, so the last two terms are 3e-6 of
+    the first.
+    """
+    h0 = static_hamiltonian(spec)
+    h = spec.period / steps_per_period
+    lam = (np.abs(h0).sum(axis=1).max() + spec.omega
+           + np.maximum(abs(spec.a1), np.abs(np.asarray(a2_values, float))))
+    return (np.linalg.norm(h0[col]) * h * (1.0 + NORM_FAILURE_BOUND)
+            + 2.0 * 10.0 * (lam * h) ** 5 / 120.0
+            + 16 * spec.n_sites * np.finfo(float).eps).reshape(-1)
 
 
 def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
@@ -492,42 +574,107 @@ def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
 
 
 def _period_starts(u: np.ndarray, a0: np.ndarray,
-                   periods: int) -> tuple[np.ndarray, float]:
-    """(columns w_m = U^m a0 for m = 0..periods, their worst norm drift)."""
-    n = a0.size
-    w = np.empty((n, periods + 1), dtype=complex)
-    cur = a0.astype(complex)
+                   periods: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, drift) for a (points, n, n) stack ``u`` of one-period operators.
+
+    w[p, :, m] = U_p^m a0 for m = 0..periods, one ``np.matmul`` over the
+    stack per period; drift[p] is the worst norm drift of point p's starts.
+    Each point's floats are those of its own matrix-vector products.
+    """
+    w = np.empty(u.shape[:2] + (periods + 1,), dtype=complex)
+    cur = np.empty(u.shape[:2] + (1,), dtype=complex)
+    cur[:, :, 0] = a0
     for m in range(periods + 1):
-        w[:, m] = cur
+        w[:, :, m] = cur[:, :, 0]
         cur = u @ cur
-    return w, float(np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0)))
+    drift = [np.max(np.abs(np.sum(x.real**2 + x.imag**2, axis=0) - 1.0))
+             for x in w]
+    return w, np.array(drift)
+
+
+def _block_edges(n_rows: int, total: int) -> list[tuple[int, int]]:
+    """(m0, m1) of every block of period starts ``_fold`` forms.
+
+    The width b fills CHUNK_BYTES, rounded down to a multiple of 8 (at least
+    8), and a lone last column, which numpy would hand to a matrix-vector
+    product, joins the block before it: no edge cuts a BLAS column panel, so
+    every value is the float of the one product rows @ w.
+    """
+    b = max(8, CHUNK_BYTES // (16 * n_rows) // 8 * 8)
+    starts = list(range(0, max(total - 1, 1), b))
+    return list(zip(starts, starts[1:] + [total]))
 
 
 def _fold(rows: np.ndarray, w: np.ndarray):
-    """Yield (m0, rows @ w[:, m0:m0 + b]) over blocks of b period starts.
-
-    b fills CHUNK_BYTES, rounded down to a multiple of 8 (at least 8), and
-    a lone last column, which numpy would hand to a matrix-vector product,
-    joins the block before it: no edge cuts a BLAS column panel, so every
-    value is the float of the one product rows @ w.
-    """
-    b = max(8, CHUNK_BYTES // (16 * len(rows)) // 8 * 8)
-    total = w.shape[1]
-    starts = list(range(0, max(total - 1, 1), b))
-    for m0, m1 in zip(starts, starts[1:] + [total]):
+    """Yield (m0, rows @ w[:, m0:m1]) over the blocks of ``_block_edges``."""
+    for m0, m1 in _block_edges(len(rows), w.shape[1]):
         yield m0, rows @ w[:, m0:m1]
 
 
 def _table_starts(table: PeriodTable, point, initial, periods):
-    """Checked, drift-gated ``_period_starts`` of one point of ``table``."""
+    """Checked, drift-gated period starts (n, periods + 1) of one point.
+
+    Starts are formed for a group of points from ``point`` on, as many as
+    fit STARTS_BYTES, and the table keeps that one group: a scan that asks
+    for its points in order forms each point's starts once, in one
+    ``np.matmul`` per period for the whole group. Each point is gated only
+    when it is asked for.
+    """
     count = len(table.monodromies)
     require_int("point", point, 0)
     if point >= count:
         raise ValidationError(f"point must be < {count}, got {point}")
     require_int("periods", periods, 1)
-    w, drift = _period_starts(table.monodromies[point], initial, periods)
-    _norm_gate(drift, periods * table.period, "across periods")
-    return w, drift
+    group = table._starts[0]
+    if (group is None or group[1] != periods
+            or not group[0] <= point < group[0] + len(group[3])
+            or not np.array_equal(group[2], initial)):
+        table._starts[0] = group = None  # freed before the next is formed
+        n = table.monodromies.shape[1]
+        size = max(1, STARTS_BYTES // (16 * n * (periods + 1)))
+        w, drift = _period_starts(table.monodromies[point:point + size],
+                                  initial, periods)
+        group = (point, periods, np.array(initial), w, drift)
+        table._starts[0] = group
+    first, _, _, w, drift = group
+    _norm_gate(drift[point - first], periods * table.period, "across periods")
+    return w[point - first], float(drift[point - first])
+
+
+def _block_bounds(rows: np.ndarray, w: np.ndarray, edges,
+                  step_change: float) -> np.ndarray:
+    """A lower bound on the least |rows @ w|^2 of every block of ``edges``.
+
+    Every COARSE_STRIDE-th row and the last one are evaluated for every
+    column, through ``_fold``. Between two such samples k steps apart no
+    step's value is below (P_l + P_r) / 2 - k c / 2, c = ``step_change``:
+    it lies within j c of P_l and (k - j) c of P_r, j steps in, and the
+    larger of those two lower bounds is at least their mean. Each computed
+    value is within 2 n machine epsilons of the exact product's, so four
+    times that covers both sides.
+    """
+    spp = len(rows) - 1
+    coarse = np.r_[0:spp:COARSE_STRIDE, spp]
+    slack = (0.5 * np.diff(coarse)[:, np.newaxis] * step_change
+             + 8 * rows.shape[1] * np.finfo(float).eps)
+    column_low = np.empty(w.shape[1])
+    for m0, amps in _fold(rows[coarse], w):
+        column_low[m0:m0 + amps.shape[1]] = _interval_low(amps, slack)
+    return np.minimum.reduceat(column_low, [m0 for m0, _ in edges])
+
+
+def _interval_low(amps: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Per column of coarse samples, min of (P_l + P_r) / 2 - ``slack``.
+
+    Its temporaries, made in place, are gone before ``_fold`` forms the
+    next block, so the pruned fold peaks below the full fold.
+    """
+    pops = np.abs(amps)
+    pops *= pops
+    low = pops[:-1] + pops[1:]
+    low *= 0.5
+    low -= slack
+    return low.min(axis=0)
 
 
 def folded_min_population(
@@ -538,11 +685,23 @@ def folded_min_population(
     Exactly the RK4 evolution of ``initial``, evaluated through powers of the
     one-period map instead of re-stepping every period. The sample set covers
     every integrator step from t=0 through t = periods * T inclusive.
+
+    Only the ``_fold`` blocks that can hold the minimum are formed: in
+    ascending order of their lower bound (``_block_bounds``), each exactly
+    as ``_fold`` forms it, until the next bound is at or above the running
+    minimum. So the result is the float the full fold gives.
     """
     w, drift = _table_starts(table, point, initial, periods)
+    w = w[:, :periods]
+    rows = table.site_rows[:, point]
+    edges = _block_edges(len(rows), periods)
+    bounds = _block_bounds(rows, w, edges, table.step_change[point])
     low = np.inf
-    for _, amps in _fold(table.site_rows[:, point], w[:, :periods]):
-        low = np.minimum(low, (np.abs(amps) ** 2).min())
+    for i in np.argsort(bounds, kind="stable"):
+        if bounds[i] >= low:
+            break
+        m0, m1 = edges[i]
+        low = np.minimum(low, (np.abs(rows @ w[:, m0:m1]) ** 2).min())
     return float(low), max(drift, table.max_norm_deviation)
 
 

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from floquet_lattice import (
     IntegrationFailure,
@@ -16,9 +18,15 @@ from floquet_lattice import (
     propagation_norm_drift,
     site_population_series,
 )
+from floquet_lattice.experiments import FIGURE_IDS, figure_scan_config
 from floquet_lattice.propagator import (
+    STARTS_BYTES,
+    _block_edges,
+    _fold,
+    _period_starts,
     _step_coefficients,
     _step_matrices,
+    _table_starts,
     basis_sweep,
     folded_min_population,
     folded_population_series,
@@ -27,6 +35,7 @@ from floquet_lattice.propagator import (
 )
 from helpers import (
     _edge_amps,
+    _starts,
     _rhs,
     _rk4_advance,
     direct_propagate,
@@ -297,6 +306,145 @@ def test_folded_min_population_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_propagate_memory_is_bounded():
+    # the table of every step's full basis rows is 20.5 MB here, and so is
+    # one 8-period fold block; a transposed copy of the block, or two blocks
+    # alive at once, would pass 60 MB
+    import tracemalloc
+
+    spec = SystemSpec(n_sites=8, omega0=1.0, nu0=0.0, a1=22.0, a2=24.0,
+                      omega=10.0)
+    tracemalloc.start()
+    try:
+        propagation_norm_drift(spec, 20, steps_per_period=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
+def _unpruned_min(table, point, initial, periods):
+    """Min(P1) from every block ``_fold`` forms, none skipped."""
+    w = _starts(table, point, initial, periods)
+    return float(min((np.abs(amps) ** 2).min() for _, amps in
+                     _fold(table.site_rows[:, point], w)))
+
+
+def _fold_width(steps_per_period):
+    """Periods per ``_fold`` block of a period's steps_per_period + 1 rows."""
+    return _block_edges(steps_per_period + 1, 10**6)[0][1]
+
+
+@st.composite
+def _fold_cases(draw):
+    spp = draw(st.integers(100, 400))
+    # the starts' norm drift grows with the horizon and as spp^-5: at
+    # a1 = 10 and |a2| <= omega it stays inside the gate up to
+    # 300 (spp / 165)^5 periods (24 at 100 steps, 300 from 165 on)
+    most = min(300, int(300 * (spp / 165) ** 5))
+    b = _fold_width(spp)
+    lone = (st.integers(1, (most - 1) // b).map(lambda k: k * b + 1)
+            if b < most else st.just(1))  # a lone last column joins a block
+    periods = draw(st.one_of(st.integers(1, most), st.just(1), lone))
+    return spp, periods
+
+
+# a1 = 10 and |a2| <= omega: the recipes' a1 = 22 fails the norm gate at
+# 100 steps per period
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(3, 6),
+    nu0=st.sampled_from([0.0, 0.2]),
+    case=_fold_cases(),
+    a2=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_sites=3, nu0=0.0, case=(100, 1), a2=[10.0], seed=0)
+@example(n_sites=4, nu0=0.2, case=(200, 161), a2=[0.0, 7.5], seed=1)
+@example(n_sites=6, nu0=0.0, case=(400, 281), a2=[-3.0], seed=2)
+def test_pruned_min_equals_full_fold(n_sites, nu0, case, a2, seed):
+    spp, periods = case
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=10.0, a2=0.0,
+                      omega=10.0)
+    table = one_period_table(spec, np.array(a2), spp)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
+    a0 = amps / np.linalg.norm(amps)
+    for point in range(len(a2)):
+        low, _ = folded_min_population(table, point, a0, periods)
+        assert np.array_equal(low, _unpruned_min(table, point, a0, periods))
+        assert np.array_equal(low, one_product_min_population(table, point,
+                                                              a0, periods))
+
+
+def test_understated_step_change_misses_the_minimum():
+    # the pruned fold is exact only while step_change bounds every step's
+    # change of P1; here a tenth of it ranks the block that holds the
+    # minimum behind one whose minimum clears that block's bound
+    spec = spec3(a2=0.0)
+    table = one_period_table(spec, np.array([0.0]), 500)
+    a0 = basis_state(3, 1).amplitudes
+    exact = one_product_min_population(table, 0, a0, 300)
+    assert folded_min_population(table, 0, a0, 300)[0] == exact
+    understated = dataclasses.replace(table, step_change=table.step_change / 10)
+    assert folded_min_population(understated, 0, a0, 300)[0] > exact
+
+
+@pytest.mark.parametrize("figure", FIGURE_IDS)
+def test_step_change_bounds_every_step_of_the_recipes(figure):
+    config = figure_scan_config(figure)
+    spec, spp = config.base_spec, config.steps_per_period
+    ratios = config.grid()[::60]  # a2/omega = 0, 1.5, 3, 4.5, 6
+    table = one_period_table(spec, ratios * spec.omega, spp,
+                             site=config.initial_site)
+    a0 = basis_state(spec.n_sites, config.initial_site).amplitudes
+    periods = min(config.horizon_periods, 200)
+    h = spec.period / spp
+    speed = np.hypot(spec.omega0, spec.nu0)  # ||H0[0, :]|| for site 1
+    for point in range(ratios.size):
+        pops = np.abs(table.site_rows[:, point]
+                      @ _starts(table, point, a0, periods)) ** 2
+        change = np.abs(np.diff(pops, axis=0)).max()
+        # the exact flow's bound, then the derived slack on top of it
+        assert change / (speed * h) <= 1.0 + 1e-6
+        assert change <= table.step_change[point]
+        low, _ = folded_min_population(table, point, a0, periods)
+        assert low == pops.min()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(3, 8),
+    points=st.integers(1, 7),
+    periods=st.sampled_from([1, 9, 300, 2000]),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+@example(n_sites=8, points=3, periods=2000, order_seed=0)
+@example(n_sites=3, points=1, periods=2000, order_seed=0)
+def test_batched_period_starts_equal_the_per_point_loop(n_sites, points,
+                                                        periods, order_seed):
+    # at 2000 periods a group holds 2 points at n = 8 and 5 at n = 3, so
+    # tables of 3 and 7 points end in a group with fewer points
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=0.2, a1=10.0, a2=0.0,
+                      omega=10.0)
+    table = one_period_table(spec, np.linspace(0.0, 10.0, points), 400)
+    a0 = basis_state(n_sites, 1).amplitudes
+    w, drift = _period_starts(table.monodromies, a0, periods)
+    rng = np.random.default_rng(order_seed)
+    other = np.roll(a0, 1)
+    for point in rng.permutation(points):
+        want = _starts(table, point, a0, periods + 1)
+        assert np.array_equal(w[point], want)
+        got, got_drift = _table_starts(table, point, a0, periods)
+        assert np.array_equal(got, want)
+        assert got_drift == drift[point]
+        # another initial state is never served from the kept group
+        assert np.array_equal(_table_starts(table, point, other, periods)[0],
+                              _starts(table, point, other, periods + 1))
+    size = max(1, STARTS_BYTES // (16 * n_sites * (periods + 1)))
+    assert len(table._starts[0][3]) == min(size, points - point)
 
 
 def _small_table():
