@@ -61,6 +61,8 @@ than the 1.25 MB the sweep has freed by then).
 
 from __future__ import annotations
 
+import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -94,10 +96,11 @@ COARSE_STRIDE = 20
 
 # Byte budget of one group of period starts (``_table_starts``). It lives
 # while the fold runs, after the sweep has freed its 1.25 MB of buffers.
-# On the fig4 scan (2 workers, one BLAS thread) 1 point / 512 KiB / 768 KiB
-# / 1 MiB / 2 MiB took 2.0-2.3 / 1.2-1.5 / 1.1-1.3 / 1.1-1.3 / 1.1-1.2 s,
-# at +0.1 / +0.3 / +0.6 / +1.5 / +3.3 MB of peak RSS over the full fold.
-# 512 KiB is 4 points at N = 4 and 2 at N = 6 (2000 periods).
+# On the fig4 scan (2 workers, one BLAS thread, 3 runs each) 1 point /
+# 512 KiB / 768 KiB / 1 MiB / 2 MiB took 2.4-2.8 / 1.5 / 1.2-1.4 /
+# 1.2-1.4 / 1.1-1.4 s, at +0.0 / +0.5 / +0.7 / +1.1 / +3.4 MB of peak RSS
+# over the full fold (4.7-5.9 s). 512 KiB, 4 points at N = 4 and 2 at
+# N = 6 over 2000 periods, keeps the peak within +1 MB.
 STARTS_BYTES = 1 << 19
 
 
@@ -562,8 +565,14 @@ def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
     """(U(t0 + T, t0) per point, rows, worst norm deviation), rows[s, p, i]
     being row sites[i] of point p's U(t_s, t0), s = 0..steps_per_period."""
     _step_size(spec, steps_per_period)  # checked before it sizes rows
-    rows = np.empty((steps_per_period + 1, np.size(a2_values), len(sites),
-                     spec.n_sites), dtype=complex)
+    shape = (steps_per_period + 1, np.size(a2_values), len(sites),
+             spec.n_sites)
+    # The table gets an anonymous mapping of its own, unmapped when its
+    # last view goes. From malloc, fig4 scans repeated for 16 s peaked
+    # 13.5 MB higher in 2 to 6 of 8 runs, with two table-sized regions
+    # resident in one thread arena (a freed table beside the next one).
+    rows = np.frombuffer(mmap.mmap(-1, 16 * max(1, math.prod(shape))),
+                         dtype=complex, count=math.prod(shape)).reshape(shape)
 
     def collect(first, states):  # row j of a state is U(t_s, t0)[:, j]
         rows[first:first + len(states)] = states[..., sites].swapaxes(-1, -2)
