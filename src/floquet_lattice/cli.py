@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -30,10 +29,8 @@ from .experiments import (
     write_manifest,
 )
 from .floquet import floquet_modes, monodromy
-from .model import SystemSpec, override_spec_fields, spec_from_json
+from .model import SystemSpec, apply_spec_overrides, spec_from_json
 from .propagator import basis_state, propagate
-
-WORKERS_ENV = "FLOQUET_LATTICE_WORKERS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,13 +48,18 @@ def _add_common(p: argparse.ArgumentParser, scan: bool = False) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a spec field")
     p.add_argument("--steps-per-period", type=int, default=2000)
-    p.add_argument("--periods", type=int, default=200,
-                   help="evolution horizon in drive periods")
     if scan:
         p.add_argument("--grid", default="0:6:241", metavar="START:STOP:POINTS",
                        help="a2/omega grid (default: 0:6:241)")
         p.add_argument("--workers", type=int, default=None,
-                       help=f"worker count (default: ${WORKERS_ENV} or CPUs)")
+                       help="worker count (default: usable CPUs)")
+
+
+def _add_horizon(p: argparse.ArgumentParser) -> None:
+    """Options of the commands that evolve one initial basis state."""
+    p.add_argument("--periods", type=int, default=200,
+                   help="evolution horizon in drive periods")
+    p.add_argument("--initial-site", type=int, default=1)
 
 
 def build_parser() -> _Parser:
@@ -67,7 +69,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("propagate", parents=[], help="integrate one trajectory")
     _add_common(p)
-    p.add_argument("--initial-site", type=int, default=1)
+    _add_horizon(p)
     p.add_argument("--stride", type=int, default=1,
                    help="store every stride-th sample")
 
@@ -78,7 +80,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("scan-minp1", help="Min(P1) versus a2/omega")
     _add_common(p, scan=True)
-    p.add_argument("--initial-site", type=int, default=1)
+    _add_horizon(p)
 
     p = sub.add_parser("scan-spectrum", help="quasi-energy branches versus a2/omega")
     _add_common(p, scan=True)
@@ -116,11 +118,11 @@ def _load_spec(args) -> SystemSpec:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    raw = spec_from_json(text).to_json_dict()
-    unknown = override_spec_fields(raw, _parse_overrides(args.overrides))
+    spec, unknown = apply_spec_overrides(spec_from_json(text),
+                                         _parse_overrides(args.overrides))
     if unknown:
         raise ValidationError(f"unknown spec field {next(iter(unknown))!r}")
-    return spec_from_json(json.dumps(raw))
+    return spec
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -134,25 +136,15 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _workers(args) -> int:
-    """--workers, else $FLOQUET_LATTICE_WORKERS, else the number of CPUs
-    this process may run on; a value below 1 is a validation error."""
-    if args.workers is not None:
-        value, source = args.workers, "--workers"
-    else:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-        try:
-            value, source = int(env), WORKERS_ENV
-        except ValueError as exc:
-            raise ValidationError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            ) from exc
-    if value < 1:
-        raise ValidationError(f"{source} must be >= 1, got {value}")
-    return value
+    """--workers, else the number of CPUs this process may run on; a value
+    below 1 is a validation error."""
+    if args.workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
 def _cmd_propagate(args) -> int:
@@ -206,22 +198,22 @@ def _cmd_floquet(args) -> int:
     return 0
 
 
-def _scan_config(args, spec: SystemSpec, initial_site: int = 1) -> ScanConfig:
+def _scan_config(args, spec: SystemSpec, **fields) -> ScanConfig:
     start, stop, points = _parse_grid(args.grid)
     return ScanConfig(
         base_spec=spec,
         grid_start=start,
         grid_stop=stop,
         grid_points=points,
-        horizon_periods=args.periods,
         steps_per_period=args.steps_per_period,
-        initial_site=initial_site,
+        **fields,
     )
 
 
 def _cmd_scan_minp1(args) -> int:
     spec = _load_spec(args)
-    config = _scan_config(args, spec, args.initial_site)
+    config = _scan_config(args, spec, horizon_periods=args.periods,
+                          initial_site=args.initial_site)
     workers = _workers(args)
     started = time.perf_counter()
     result = scan_min_p1(config, workers=workers)

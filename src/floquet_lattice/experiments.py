@@ -17,9 +17,10 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .floquet import (
     classify_closest_approach,
     track_branches,
 )
-from .model import SystemSpec, override_spec_fields, require_int, spec_from_json
+from .model import SystemSpec, apply_spec_overrides, require_int
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
@@ -95,8 +96,22 @@ class ScanConfig:
             "horizon_periods": self.horizon_periods,
             "steps_per_period": self.steps_per_period,
             "initial_site": self.initial_site,
-            "scan_parameter": "a2",
         }
+
+    @classmethod
+    def from_json_dict(cls, raw: dict) -> "ScanConfig":
+        """Inverse of ``to_json_dict``; also reads a figure recipe, whose
+        other keys it ignores."""
+        grid = raw["grid"]
+        return cls(
+            base_spec=SystemSpec.from_json_dict(raw["spec"]),
+            grid_start=float(grid["start"]),
+            grid_stop=float(grid["stop"]),
+            grid_points=int(grid["points"]),
+            horizon_periods=int(raw["horizon_periods"]),
+            steps_per_period=int(raw["steps_per_period"]),
+            initial_site=int(raw["initial_site"]),
+        )
 
 
 @dataclass
@@ -135,19 +150,13 @@ def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
     that completed.
     """
     ratios = config.grid()
-    spec = config.base_spec
-    initial = basis_state(spec.n_sites, config.initial_site).amplitudes
-    site = config.initial_site
 
     def run_chunk(idx):
         """(done, failure): the chunk's finished (point, Min(P1), drift)
         records, and the error that stopped it or None."""
         done: list[tuple[int, float, float]] = []
         try:
-            table = one_period_table(
-                spec, ratios[idx] * spec.omega, config.steps_per_period,
-                site=site,
-            )
+            table, initial = _scan_table(config, ratios[idx])
             for local, gi in enumerate(idx):
                 m, dev = folded_min_population(
                     table, local, initial, config.horizon_periods
@@ -183,6 +192,17 @@ def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
     )
 
 
+def _scan_table(config: ScanConfig, ratios: np.ndarray):
+    """(one-period table at ``ratios``, initial amplitudes) of a scan: the
+    scan starts in the basis state of its initial site and observes it."""
+    spec = config.base_spec
+    table = one_period_table(
+        spec, ratios * spec.omega, config.steps_per_period,
+        site=config.initial_site,
+    )
+    return table, basis_state(spec.n_sites, config.initial_site).amplitudes
+
+
 def _refined_ratios(config: ScanConfig, landmarks: list[float]) -> np.ndarray:
     """Scan grid with extra density inside a window around each landmark."""
     base = config.grid()
@@ -209,8 +229,8 @@ def scan_spectrum(
     landmarks = landmark_zeros(config.grid_start, config.grid_stop)
     ratios = _refined_ratios(config, landmarks) if classify else config.grid()
     spec = config.base_spec
-    specs = [spec.replace(a2=float(r * spec.omega)) for r in ratios]
-    branch_set = track_branches(specs, config.steps_per_period, workers=workers)
+    branch_set = track_branches(spec, ratios * spec.omega,
+                                config.steps_per_period, workers=workers)
 
     result = ScanResult(
         config=config,
@@ -282,58 +302,31 @@ def figure_config(figure_id: str) -> dict:
     return json.loads(text)
 
 
-# Recipe keys an override may set: key -> (section or None, field, type).
-_RECIPE_FIELDS = {
-    "horizon_periods": (None, "horizon_periods", int),
-    "steps_per_period": (None, "steps_per_period", int),
-    "initial_site": (None, "initial_site", int),
-    "grid_start": ("grid", "start", float),
-    "grid_stop": ("grid", "stop", float),
-    "grid_points": ("grid", "points", int),
-}
-
-
-def _apply_overrides(raw: dict, overrides: dict[str, str]) -> dict:
-    """Apply key=value overrides to a figure recipe, after file load."""
-    raw = json.loads(json.dumps(raw))  # deep copy
-    for key, value in override_spec_fields(raw["spec"], overrides).items():
-        if key not in _RECIPE_FIELDS:
+def _apply_overrides(config: ScanConfig, overrides: dict[str, str]):
+    """``config`` with key=value overrides applied: spec fields, then
+    ScanConfig's own fields, parsed as their annotated types."""
+    spec, rest = apply_spec_overrides(config.base_spec, overrides)
+    kinds = get_type_hints(ScanConfig)
+    changes = {}
+    for key, value in rest.items():
+        if key == "base_spec" or key not in kinds:
             raise ValidationError(f"unknown override key {key!r}")
-        section, name, kind = _RECIPE_FIELDS[key]
         try:
-            (raw[section] if section else raw)[name] = kind(value)
+            changes[key] = kinds[key](value)
         except ValueError as exc:
             raise ValidationError(f"bad value for {key}: {value!r}") from exc
-    return raw
+    return replace(config, base_spec=spec, **changes)
 
 
 def figure_scan_config(figure_id: str) -> ScanConfig:
     """Scan configuration of one bundled figure recipe."""
-    return _config_from_raw(figure_config(figure_id))
-
-
-def _config_from_raw(raw: dict) -> ScanConfig:
-    spec = spec_from_json(json.dumps(raw["spec"]))
-    return ScanConfig(
-        base_spec=spec,
-        grid_start=float(raw["grid"]["start"]),
-        grid_stop=float(raw["grid"]["stop"]),
-        grid_points=int(raw["grid"]["points"]),
-        horizon_periods=int(raw["horizon_periods"]),
-        steps_per_period=int(raw["steps_per_period"]),
-        initial_site=int(raw.get("initial_site", 1)),
-    )
+    return ScanConfig.from_json_dict(figure_config(figure_id))
 
 
 def _folded_series(config, ratios, periods: int, stride: int):
     """(times, populations) of the observed site at every ratio: one table,
     then one folded series per grid point, (ratios, samples)."""
-    spec = config.base_spec
-    initial = basis_state(spec.n_sites, config.initial_site).amplitudes
-    table = one_period_table(
-        spec, ratios * spec.omega, config.steps_per_period,
-        site=config.initial_site,
-    )
+    table, initial = _scan_table(config, ratios)
     folds = [folded_population_series(table, i, initial, periods, stride=stride)
              for i in range(ratios.size)]
     return folds[0][0], np.array([values for _, values in folds])
@@ -354,6 +347,16 @@ def _series_outputs(raw, config, out_dir) -> list[str]:
         )
         names.append(name)
     return names
+
+
+def _check_averaged_model(config: ScanConfig) -> None:
+    """Raise unless the averaged model covers every grid point of the scan
+    from its initial site (n_sites = 3, start at site 1): a heatmap recipe
+    checks this before any numerical work."""
+    spec = config.base_spec
+    initial = basis_state(spec.n_sites, config.initial_site)
+    for a2 in config.grid() * spec.omega:
+        analytic_p1(effective_params(spec.replace(a2=float(a2)), initial), 0.0)
 
 
 def _heatmap_outputs(raw, config, out_dir) -> list[str]:
@@ -393,8 +396,10 @@ def reproduce(
     worker count are recorded in the manifest only.
     """
     overrides = overrides or {}
-    raw = _apply_overrides(figure_config(figure_id), overrides)
-    config = _config_from_raw(raw)
+    raw = figure_config(figure_id)
+    config = _apply_overrides(ScanConfig.from_json_dict(raw), overrides)
+    if "heatmap" in raw:
+        _check_averaged_model(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -427,15 +432,7 @@ def reproduce(
     landmarks = landmark_zeros(config.grid_start, config.grid_stop)
     manifest = {
         "figure": figure_id,
-        "spec": config.base_spec.to_json_dict(),
-        "grid": {
-            "start": config.grid_start,
-            "stop": config.grid_stop,
-            "points": config.grid_points,
-        },
-        "horizon_periods": config.horizon_periods,
-        "steps_per_period": config.steps_per_period,
-        "initial_site": config.initial_site,
+        **config.to_json_dict(),
         "workers": workers,
         "overrides": overrides,
         "landmarks": landmarks,

@@ -175,8 +175,8 @@ class Branch:
     vectors: np.ndarray          # (points, n_sites)
     avg_populations: np.ndarray  # (points, n_sites)
     residuals: np.ndarray
-    base_spec: SystemSpec | None = None
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
+    base_spec: SystemSpec        # the other fields of every point
+    steps_per_period: int
 
     def window(self, mask: np.ndarray) -> "Branch":
         """Restriction of the branch to a boolean mask of grid points."""
@@ -312,14 +312,16 @@ def _modes_bulk(base_spec: SystemSpec, params: np.ndarray, idx: np.ndarray,
 
 
 def track_branches(
-    specs,
+    base_spec: SystemSpec,
+    a2_values,
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
     workers: int = 1,
 ) -> BranchSet:
-    """Follow quasi-energy branches across an ordered list of specs.
+    """Follow quasi-energy branches across a grid of a2 values.
 
-    The specs must differ only in a2, along a strictly monotone grid.
-    Modes at consecutive grid points are matched by eigenvector overlap, so
+    ``a2_values`` is a non-empty, finite, strictly monotone 1-D grid; every
+    point has the other fields of ``base_spec``. Modes at consecutive grid
+    points are matched by eigenvector overlap, so
     branches stay continuous through exact crossings where ordering by
     quasi-energy would swap labels. Mode computation for distinct grid
     points is independent and is spread over ``workers`` chunks
@@ -330,24 +332,19 @@ def track_branches(
     neighbouring grid points, whatever n_sites is; only steps where every
     pairing is a near-tie cost all n! (see ``_best_permutation``).
     """
-    specs = list(specs)
-    if not specs:
-        raise ValidationError("need at least one spec")
-    first = specs[0]
-    if any(s.replace(a2=first.a2) != first for s in specs[1:]):
-        raise ValidationError(
-            "specs must vary in exactly one field, and it must be a2"
-        )
-    params = np.array([s.a2 for s in specs], dtype=float)
-    if params.size > 1:
-        diffs = np.diff(params)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValidationError("a2 grid must be strictly monotone")
+    params = np.array(a2_values, dtype=float)
+    if params.ndim != 1 or params.size == 0:
+        raise ValidationError("a2 grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(params)):
+        raise ValidationError("a2 grid must be finite")
+    diffs = np.diff(params)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValidationError("a2 grid must be strictly monotone")
 
-    n = first.n_sites
-    p = len(specs)
+    n = base_spec.n_sites
+    p = params.size
     parts = map_chunks(
-        lambda idx: _modes_bulk(first, params, idx, steps_per_period),
+        lambda idx: _modes_bulk(base_spec, params, idx, steps_per_period),
         p, workers,
     )
     eps, vecs, pops, resid = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -356,7 +353,7 @@ def track_branches(
     order = np.arange(n)
     orders = np.empty((p, n), dtype=int)
     orders[0] = order
-    omega = first.omega
+    omega = base_spec.omega
     for i in range(1, p):
         prev = orders[i - 1]
         perm, ambiguous = _best_permutation(
@@ -381,7 +378,7 @@ def track_branches(
                 vectors=vecs[idx, sel],
                 avg_populations=pops[idx, sel],
                 residuals=resid[idx, sel],
-                base_spec=first,
+                base_spec=base_spec,
                 steps_per_period=steps_per_period,
             )
         )
@@ -446,8 +443,6 @@ def classify_closest_approach(branch_a: Branch,
     params = branch_a.param_values
     if params.size < 3:
         raise ValidationError("need at least 3 grid points to bracket a minimum")
-    if branch_a.base_spec is None:
-        raise ValidationError("branches lack a base spec for refinement")
     omega = branch_a.base_spec.omega
 
     g = _circular_gap(branch_a.quasienergies, branch_b.quasienergies, omega)

@@ -58,6 +58,32 @@ class SystemSpec:
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in _SPEC_KEYS}
 
+    @classmethod
+    def from_json_dict(cls, raw: dict) -> "SystemSpec":
+        """Inverse of ``to_json_dict``; rejects unknown and missing keys."""
+        if not isinstance(raw, dict):
+            raise ValidationError("spec JSON must be an object")
+        unknown = sorted(set(raw) - set(_SPEC_KEYS))
+        if unknown:
+            raise ValidationError(f"unknown spec keys: {', '.join(unknown)}")
+        missing = sorted(set(_SPEC_KEYS) - set(raw))
+        if missing:
+            raise ValidationError(f"missing spec keys: {', '.join(missing)}")
+        n_sites = raw["n_sites"]
+        if isinstance(n_sites, float):
+            if not n_sites.is_integer():
+                raise ValidationError(
+                    f"n_sites must be an integer, got {n_sites!r}")
+            n_sites = int(n_sites)
+        return cls(
+            n_sites=n_sites,
+            omega0=float(raw["omega0"]),
+            nu0=float(raw["nu0"]),
+            a1=float(raw["a1"]),
+            a2=float(raw["a2"]),
+            omega=float(raw["omega"]),
+        )
+
 
 def validate(spec: SystemSpec) -> None:
     """Raise ValidationError unless every field constraint holds."""
@@ -94,41 +120,24 @@ def spec_from_json(text: str) -> SystemSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("spec JSON must be an object")
-    unknown = sorted(set(raw) - set(_SPEC_KEYS))
-    if unknown:
-        raise ValidationError(f"unknown spec keys: {', '.join(unknown)}")
-    missing = sorted(set(_SPEC_KEYS) - set(raw))
-    if missing:
-        raise ValidationError(f"missing spec keys: {', '.join(missing)}")
-    n_sites = raw["n_sites"]
-    if isinstance(n_sites, float):
-        if not n_sites.is_integer():
-            raise ValidationError(f"n_sites must be an integer, got {n_sites!r}")
-        n_sites = int(n_sites)
-    return SystemSpec(
-        n_sites=n_sites,
-        omega0=float(raw["omega0"]),
-        nu0=float(raw["nu0"]),
-        a1=float(raw["a1"]),
-        a2=float(raw["a2"]),
-        omega=float(raw["omega"]),
-    )
+    return SystemSpec.from_json_dict(raw)
 
 
-def override_spec_fields(raw: dict, overrides: dict[str, str]) -> dict[str, str]:
-    """Set the spec fields named in ``overrides`` on ``raw``; return the rest."""
-    rest = {}
+def apply_spec_overrides(spec: SystemSpec, overrides: dict[str, str]):
+    """(spec with the fields named in ``overrides`` set, the other overrides).
+
+    Values are parsed from strings and the new spec is validated.
+    """
+    changes, rest = {}, {}
     for key, value in overrides.items():
         if key not in _SPEC_KEYS:
             rest[key] = value
             continue
         try:
-            raw[key] = int(value) if key == "n_sites" else float(value)
+            changes[key] = int(value) if key == "n_sites" else float(value)
         except ValueError as exc:
             raise ValidationError(f"bad value for {key}: {value!r}") from exc
-    return rest
+    return spec.replace(**changes), rest
 
 
 def spec_to_json(spec: SystemSpec) -> str:

@@ -164,7 +164,7 @@ def test_scan_minp1_cli(tmp_path, spec_file):
 def test_scan_spectrum_cli(tmp_path, spec_file):
     out = tmp_path / "spec"
     code = main(["scan-spectrum", "--config", str(spec_file),
-                 "--grid", "2.3:2.5:5", "--periods", "2",
+                 "--grid", "2.3:2.5:5",
                  "--steps-per-period", "500", "--workers", "1",
                  "--out", str(out)])
     assert code == 0
@@ -180,25 +180,40 @@ def test_bad_grid_flag(tmp_path, spec_file, capsys):
     assert "grid" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("initial_site=2", "analytic_p1 requires constants captured from the "
+                       "(1, 0, 0) state"),
+    ("n_sites=4", "averaged model is defined for n_sites=3 only"),
+])
+def test_reproduce_checks_the_averaged_model_first(tmp_path, capsys,
+                                                   override, message):
+    # fig2's heatmap needs the averaged model; a recipe outside it fails
+    # before the Min(P1) scan runs and before any output is written
+    out = tmp_path / "out"
+    code = main(["reproduce", "fig2", "--set", override,
+                 "--set", "grid_points=3", "--set", "horizon_periods=2",
+                 "--workers", "1", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["floquet", "scan-spectrum"])
+def test_periods_only_where_a_horizon_is_used(tmp_path, spec_file, capsys,
+                                               command):
+    assert main([command, "--config", str(spec_file), "--periods", "2",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "--periods" in capsys.readouterr().err
+
+
 def test_reproduce_unknown_figure(tmp_path, capsys):
     assert main(["reproduce", "fig99", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "fig2" in err  # the error names the valid ids
 
 
-def test_workers_env_fallback(tmp_path, spec_file, monkeypatch):
-    monkeypatch.setenv("FLOQUET_LATTICE_WORKERS", "2")
-    out = tmp_path / "env"
-    assert main(["scan-minp1", "--config", str(spec_file),
-                 "--grid", "0:0.2:2", "--periods", "2",
-                 "--steps-per-period", "500", "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["workers"] == 2
-
-
 def test_workers_default_to_usable_cpus(tmp_path, spec_file, monkeypatch):
     # a process pinned to one CPU runs one worker, whatever cpu_count says
-    monkeypatch.delenv("FLOQUET_LATTICE_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -208,13 +223,6 @@ def test_workers_default_to_usable_cpus(tmp_path, spec_file, monkeypatch):
                  "--steps-per-period", "500", "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["workers"] == 1
-
-
-def test_workers_env_invalid(tmp_path, spec_file, monkeypatch, capsys):
-    monkeypatch.setenv("FLOQUET_LATTICE_WORKERS", "many")
-    assert main(["scan-minp1", "--config", str(spec_file),
-                 "--grid", "0:0.2:2", "--out", str(tmp_path)]) == 1
-    assert "FLOQUET_LATTICE_WORKERS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -227,15 +235,6 @@ def test_workers_flag_below_one(tmp_path, spec_file, capsys, value):
         assert main(argv + ["--workers", value, "--out", str(out)]) == 1
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_workers_env_below_one(tmp_path, spec_file, monkeypatch, capsys,
-                               value):
-    monkeypatch.setenv("FLOQUET_LATTICE_WORKERS", value)
-    assert main(["scan-minp1", "--config", str(spec_file),
-                 "--grid", "0:0.2:2", "--out", str(tmp_path)]) == 1
-    assert "FLOQUET_LATTICE_WORKERS must be >= 1" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

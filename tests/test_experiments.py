@@ -235,3 +235,33 @@ def test_reproduce_rerun_is_byte_identical(tmp_path):
 def test_reproduce_unknown_override(tmp_path):
     with pytest.raises(ValidationError, match="override"):
         reproduce("fig3", tmp_path, overrides={"bogus": "1"})
+
+
+def test_reproduce_override_of_every_field_reaches_the_manifest(tmp_path):
+    # every spec field and every other ScanConfig field, each off its recipe
+    overrides = {"n_sites": "4", "omega0": "1.25", "nu0": "0.1", "a1": "21.5",
+                 "a2": "3.5", "omega": "12", "grid_start": "2.25",
+                 "grid_stop": "2.5", "grid_points": "4", "horizon_periods": "7",
+                 "steps_per_period": "600", "initial_site": "2"}
+    recipe = figure_config("fig3")
+    manifest = reproduce("fig3", tmp_path, overrides=overrides)
+    spec = {key: float(overrides[key]) for key in recipe["spec"]}
+    spec["n_sites"] = 4
+    expected = {"spec": spec,
+                "grid": {"start": 2.25, "stop": 2.5, "points": 4},
+                "horizon_periods": 7, "steps_per_period": 600,
+                "initial_site": 2}
+    assert all(spec[key] != recipe["spec"][key] for key in spec)
+    on_disk = json.loads((tmp_path / "manifest.json").read_text())
+    for key, value in expected.items():
+        assert manifest[key] == value != recipe[key]
+        assert on_disk[key] == value
+    assert set(expected) == set(ScanConfig.from_json_dict(recipe).to_json_dict())
+    assert manifest["overrides"] == overrides
+    assert "scan_parameter" not in on_disk
+
+
+def test_scan_config_json_round_trip():
+    for fid in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
+        config = figure_scan_config(fid)
+        assert ScanConfig.from_json_dict(config.to_json_dict()) == config
