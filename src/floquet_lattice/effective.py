@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import SystemSpec
+from .model import SystemSpec, require_state
 from .propagator import StateVector
 from .specfun import bessel_j
 
@@ -54,10 +54,7 @@ class EffectiveParams:
 
 def _solve_constants(omega0: float, j01: float, j02: float,
                      initial: StateVector) -> EffectiveParams:
-    if initial.n_sites != 3:
-        raise ValidationError("initial state must have 3 amplitudes")
-    if initial.norm_error() > 1e-9:
-        raise ValidationError("initial state must be normalized")
+    b0 = require_state("initial state", initial.amplitudes, 3)
     s = j01 * j01 + j02 * j02
     if s < 1e-20:
         raise ValidationError(
@@ -65,7 +62,6 @@ def _solve_constants(omega0: float, j01: float, j02: float,
             "the averaged dynamics is frozen and has no solution constants"
         )
     root_s = math.sqrt(s)
-    b0 = initial.amplitudes
     gamma = (j02 * b0[0] - j01 * b0[2]) / s
     c3 = -1j * (j01 * b0[0] + j02 * b0[2]) / root_s
     from_site1 = bool(
@@ -134,10 +130,6 @@ class RotatingTrajectory:
 
     times: np.ndarray
     amplitudes: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
 
 
 def effective_propagate(

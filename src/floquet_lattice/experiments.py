@@ -33,11 +33,12 @@ from .floquet import (
     classify_closest_approach,
     track_branches,
 )
-from .model import SystemSpec, apply_spec_overrides, require_int
+from .model import SystemSpec, apply_spec_overrides, require_int, require_site
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
     basis_state,
+    check_stride,
     folded_min_population,
     folded_population_series,
     map_chunks,
@@ -73,14 +74,13 @@ class ScanConfig:
         if self.grid_stop <= self.grid_start:
             raise ValidationError("grid stop must exceed grid start")
         for name, minimum in (("grid_points", 2), ("horizon_periods", 1),
-                              ("steps_per_period", MIN_STEPS_PER_PERIOD),
-                              ("initial_site", 1)):
+                              ("steps_per_period", MIN_STEPS_PER_PERIOD)):
             value = getattr(self, name)
             require_int(name, value, minimum)
             # numpy integers pass the check; stored as int they serialise
             object.__setattr__(self, name, int(value))
-        if self.initial_site > self.base_spec.n_sites:
-            raise ValidationError("initial_site out of range")
+        require_site("initial_site", self.initial_site, self.base_spec.n_sites)
+        object.__setattr__(self, "initial_site", int(self.initial_site))
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.grid_start, self.grid_stop, self.grid_points)
@@ -400,6 +400,9 @@ def reproduce(
     config = _apply_overrides(ScanConfig.from_json_dict(raw), overrides)
     if "heatmap" in raw:
         _check_averaged_model(config)
+    for panel in ("series", "heatmap"):
+        if panel in raw:
+            check_stride(int(raw[panel]["stride"]), config.steps_per_period)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

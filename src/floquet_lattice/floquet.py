@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericsError, ValidationError
-from .model import SystemSpec
+from .model import SystemSpec, require_state
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, basis_sweep, map_chunks,
                          period_average)
 
@@ -40,10 +40,6 @@ class MonodromyOperator:
     matrix: np.ndarray
     spec: SystemSpec
     steps_per_period: int
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
     def unitarity_residual(self) -> float:
         return _unitarity_residual(self.matrix)
@@ -149,12 +145,9 @@ def averaged_populations(
     ``mode`` may be a FloquetMode or a unit-norm complex vector. The result
     sums to 1 up to integration rounding.
     """
-    vector = mode.vector if isinstance(mode, FloquetMode) else np.asarray(mode)
-    if vector.ndim != 1 or vector.size != spec.n_sites:
-        raise ValidationError("mode vector size does not match the spec")
-    nrm = float(np.sum(np.abs(vector) ** 2))
-    if abs(nrm - 1.0) > 1e-7:
-        raise ValidationError("mode vector must be unit norm")
+    if isinstance(mode, FloquetMode):
+        mode = mode.vector
+    vector = require_state("mode vector", mode, spec.n_sites)
     return period_average(
         spec, [spec.a2], vector[np.newaxis, np.newaxis, :], steps_per_period
     )[0, 0]

@@ -22,6 +22,9 @@ from .errors import ValidationError
 
 _SPEC_KEYS = ("n_sites", "omega0", "nu0", "a1", "a2", "omega")
 
+# Tolerance on |sum_j |a_j|^2 - 1| of an input state or mode vector.
+STATE_NORM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -114,6 +117,31 @@ def require_int(name: str, value, minimum: int) -> None:
         )
 
 
+def require_site(name: str, site, n_sites: int) -> int:
+    """0-based index of the 1-based ``site``; ValidationError unless it is
+    an integer (not a bool) in [1, n_sites]."""
+    require_int(name, site, 1)
+    if site > n_sites:
+        raise ValidationError(f"{name} must be in [1, {n_sites}], got {site}")
+    return int(site) - 1
+
+
+def require_state(name: str, vector, n_sites: int) -> np.ndarray:
+    """``vector`` as a complex array; ValidationError unless it holds
+    ``n_sites`` amplitudes of unit norm within STATE_NORM_TOL. NaN and Inf
+    fail."""
+    amps = np.asarray(vector, dtype=complex)
+    if amps.shape != (n_sites,):
+        raise ValidationError(
+            f"{name} has shape {amps.shape}, spec has {n_sites} sites")
+    with np.errstate(over="ignore"):
+        err = abs(float(np.sum(amps.real**2 + amps.imag**2)) - 1.0)
+    if not (err <= STATE_NORM_TOL):
+        raise ValidationError(f"{name} norm deviates by {err:.2e} "
+                              f"(tolerance {STATE_NORM_TOL:.0e})")
+    return amps
+
+
 def spec_from_json(text: str) -> SystemSpec:
     """Parse a SystemSpec from a JSON object; unknown keys are rejected."""
     try:
@@ -150,10 +178,6 @@ class HamiltonianMatrix:
 
     entries: np.ndarray
     time_tag: float
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
 
 
 def static_hamiltonian(spec: SystemSpec) -> np.ndarray:

@@ -69,14 +69,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationFailure, ValidationError
-from .model import SystemSpec, require_int, static_hamiltonian
+from .model import (SystemSpec, require_int, require_site, require_state,
+                    static_hamiltonian)
 
 # Hard failure bound on |sum_j |a_j|^2 - 1| during stepping. Exceeding it
 # means the step size is too coarse for the drive amplitude in play.
 NORM_FAILURE_BOUND = 1e-6
-
-# Tolerance for user-supplied initial states.
-STATE_NORM_TOL = 1e-9
 
 DEFAULT_STEPS_PER_PERIOD = 2000
 MIN_STEPS_PER_PERIOD = 100
@@ -121,19 +119,11 @@ class StateVector:
     def n_sites(self) -> int:
         return self.amplitudes.size
 
-    def norm_error(self) -> float:
-        return abs(float(np.sum(np.abs(self.amplitudes) ** 2)) - 1.0)
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def basis_state(n_sites: int, site: int) -> StateVector:
     """Unit amplitude on one site (1-based index), zero elsewhere."""
-    if site < 1 or site > n_sites:
-        raise ValidationError(f"site must be in [1, {n_sites}], got {site}")
     amps = np.zeros(n_sites, dtype=complex)
-    amps[site - 1] = 1.0
+    amps[require_site("site", site, n_sites)] = 1.0
     return StateVector(amplitudes=amps, time=0.0)
 
 
@@ -160,9 +150,6 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> StateVector:
-        return StateVector(amplitudes=self.amplitudes[i], time=float(self.times[i]))
-
 
 def _step_size(spec: SystemSpec, steps_per_period) -> float:
     """h = T / steps_per_period, after checking steps_per_period."""
@@ -170,15 +157,24 @@ def _step_size(spec: SystemSpec, steps_per_period) -> float:
     return spec.period / steps_per_period
 
 
-def _norm_gate(dev: float, time: float, where: str) -> None:
-    """IntegrationFailure at ``time`` unless ``dev`` is within
-    NORM_FAILURE_BOUND; NaN fails too."""
-    if not (dev <= NORM_FAILURE_BOUND):
+def _norm_gate(dev: np.ndarray, t0: float, k0: int, h: float,
+               where: str) -> float:
+    """The worst of ``dev``, the norm deviations after steps k0, k0 + 1, ...
+    from t0 with step h; IntegrationFailure at the first one not within
+    NORM_FAILURE_BOUND (NaN fails too), at the end of its step.
+
+    ``where`` is formatted with that time as ``t``.
+    """
+    bad = ~(dev <= NORM_FAILURE_BOUND)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = t0 + (k0 + i) * h + h
         raise IntegrationFailure(
-            f"norm drift {dev:.3e} exceeds {NORM_FAILURE_BOUND:.0e} {where}; "
-            "increase steps_per_period",
-            time=time,
+            f"norm drift {float(dev[i]):.3e} exceeds {NORM_FAILURE_BOUND:.0e} "
+            f"{where.format(t=t)}; increase steps_per_period",
+            time=t,
         )
+    return float(dev.max())
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +303,8 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
                 cur[...] = prev
                 norms = np.sum(y.real**2 + y.imag**2, axis=-1)
                 dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
-                bad = ~(dev <= NORM_FAILURE_BOUND)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    t = t0 + (s0 + i) * h
-                    _norm_gate(float(dev[i]), t + h, f"at t={t + h!r}")
-                max_dev = max(max_dev, float(dev.max()))
+                max_dev = max(max_dev,
+                              _norm_gate(dev, t0, s0, h, "at t={t!r}"))
                 if on_chunk is not None:
                     on_chunk(s0 + 1, y)
     return cur, max_dev
@@ -400,15 +392,7 @@ def propagate(
     the first period, so a step size too coarse for any of them fails even
     where this state alone would pass.
     """
-    if initial.n_sites != spec.n_sites:
-        raise ValidationError(
-            f"initial state has {initial.n_sites} sites, spec has {spec.n_sites}"
-        )
-    if initial.norm_error() > STATE_NORM_TOL:
-        raise ValidationError(
-            f"initial state norm deviates by {initial.norm_error():.2e} "
-            f"(tolerance {STATE_NORM_TOL:.0e})"
-        )
+    a0 = require_state("initial state", initial.amplitudes, spec.n_sites)
     if t_final <= initial.time:
         raise ValidationError("t_final must exceed the initial time")
     h = _step_size(spec, steps_per_period)
@@ -421,7 +405,7 @@ def propagate(
 
     n, spp, t0 = spec.n_sites, steps_per_period, initial.time
     (u,), rows, _ = _row_table(spec, [spec.a2], spp, list(range(n)), t0)
-    (w,), _ = _period_starts(u[np.newaxis], initial.amplitudes, nsteps // spp)
+    (w,), _ = _period_starts(u[np.newaxis], a0, nsteps // spp)
 
     stored = np.empty((nsteps // stride + 1, n), dtype=complex)
     min_pops = np.ones(n)
@@ -434,13 +418,8 @@ def propagate(
             dev = np.abs(pops.sum(axis=1) - 1.0)
             if j0 == 0:
                 dev[0] = 0.0  # the initial state is no step's result
-            bad = ~(dev <= NORM_FAILURE_BOUND)
-            if bad.any():
-                i = int(np.argmax(bad))
-                t = t0 + (j0 + i - 1) * h
-                _norm_gate(float(dev[i]), t + h,
-                           f"across periods, first at t={t + h!r}")
-            max_dev = max(max_dev, float(dev.max()))
+            max_dev = max(max_dev, _norm_gate(
+                dev, t0, j0 - 1, h, "across periods, first at t={t!r}"))
             np.minimum(min_pops, pops.min(axis=0), out=min_pops)
             first = -j0 % stride
             stored[(j0 + first) // stride:(j0 + len(amps) - 1) // stride + 1] = (
@@ -459,24 +438,17 @@ def propagate(
     )
 
 
-def _check_site(n_sites: int, site: int) -> int:
-    if not isinstance(site, int) or isinstance(site, bool):
-        raise ValidationError(f"site must be an integer, got {site!r}")
-    if site < 1 or site > n_sites:
-        raise ValidationError(f"site must be in [1, {n_sites}], got {site}")
-    return site - 1
-
-
 def min_population(traj: Trajectory, site: int) -> float:
     """Minimum of |a_site|^2 over every integrator step of the run."""
     if traj.times.size == 0:
         raise ValidationError("trajectory is empty")
-    return float(traj.min_populations[_check_site(traj.spec.n_sites, site)])
+    j = require_site("site", site, traj.spec.n_sites)
+    return float(traj.min_populations[j])
 
 
 def site_population_series(traj: Trajectory, site: int):
     """(times, |a_site|^2) arrays over the stored samples."""
-    j = _check_site(traj.spec.n_sites, site)
+    j = require_site("site", site, traj.spec.n_sites)
     return traj.times, np.abs(traj.amplitudes[:, j]) ** 2
 
 
@@ -514,7 +486,7 @@ def one_period_table(
     site: int = 1,
 ) -> PeriodTable:
     """Propagate the full basis over one period for many a2 values at once."""
-    col = _check_site(base_spec.n_sites, site)
+    col = require_site("site", site, base_spec.n_sites)
     monodromies, rows, max_dev = _row_table(base_spec, a2_values,
                                             steps_per_period, [col])
     return PeriodTable(
@@ -634,6 +606,8 @@ def _table_starts(table: PeriodTable, point, initial, periods):
     if point >= count:
         raise ValidationError(f"point must be < {count}, got {point}")
     require_int("periods", periods, 1)
+    initial = require_state("initial state", initial,
+                            table.monodromies.shape[1])
     group = table._starts[0]
     if (group is None or group[1] != periods
             or not group[0] <= point < group[0] + len(group[3])
@@ -646,8 +620,9 @@ def _table_starts(table: PeriodTable, point, initial, periods):
         group = (point, periods, np.array(initial), w, drift)
         table._starts[0] = group
     first, _, _, w, drift = group
-    _norm_gate(drift[point - first], periods * table.period, "across periods")
-    return w[point - first], float(drift[point - first])
+    j = point - first  # h = 0: a failure is timed at the horizon's end
+    return w[j], _norm_gate(drift[j:j + 1], periods * table.period, 0, 0.0,
+                            "across periods")
 
 
 def _block_bounds(rows: np.ndarray, w: np.ndarray, edges,
@@ -714,6 +689,15 @@ def folded_min_population(
     return float(low), max(drift, table.max_norm_deviation)
 
 
+def check_stride(stride, steps_per_period: int) -> None:
+    """ValidationError unless ``stride`` is an integer >= 1 that divides
+    ``steps_per_period``, as a folded series' stride must."""
+    require_int("stride", stride, 1)
+    if steps_per_period % stride != 0:
+        raise ValidationError(
+            f"stride {stride} must divide {steps_per_period}")
+
+
 def folded_population_series(
     table: PeriodTable, point: int, initial: np.ndarray, periods: int,
     stride: int = 1,
@@ -724,9 +708,7 @@ def folded_population_series(
     must divide steps_per_period.
     """
     spp = table.steps_per_period
-    require_int("stride", stride, 1)
-    if spp % stride != 0:
-        raise ValidationError(f"stride {stride} must divide {spp}")
+    check_stride(stride, spp)
     w, _ = _table_starts(table, point, initial, periods)
     rows = table.site_rows[:, point]
     k = spp // stride  # samples per period

@@ -198,6 +198,94 @@ def test_reproduce_checks_the_averaged_model_first(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_reproduce_checks_strides_first(tmp_path, capsys):
+    # fig2's heatmap stride 50 does not divide 1010 steps; the recipe fails
+    # before the Min(P1) scan runs and before any output is written
+    out = tmp_path / "out"
+    code = main(["reproduce", "fig2", "--set", "steps_per_period=1010",
+                 "--set", "grid_points=3", "--set", "horizon_periods=2",
+                 "--workers", "1", "--out", str(out)])
+    assert code == 1
+    assert "stride 50 must divide 1010" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_floquet_out_is_an_existing_file(tmp_path, spec_file, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["floquet", "--config", str(spec_file),
+                 "--steps-per-period", "500", "--out", str(taken)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_reproduce_out_below_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["reproduce", "fig3", "--set", "grid_points=3",
+                 "--set", "steps_per_period=100", "--workers", "1",
+                 "--out", str(taken / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_scan_failure_keeps_completed_points_and_writes_nothing(tmp_path,
+                                                                capsys):
+    # a2 = 0 completes; a2 = 200, 400, 600 fail their norm gate at 100 steps
+    config = tmp_path / "two.json"
+    config.write_text(json.dumps({"n_sites": 2, "omega0": 1, "nu0": 0,
+                                  "a1": 0, "a2": 0, "omega": 10}))
+    out = tmp_path / "out"
+    code = main(["scan-minp1", "--config", str(config), "--grid", "0:60:4",
+                 "--periods", "2", "--steps-per-period", "100",
+                 "--workers", "4", "--out", str(out)])
+    assert code == 2
+    assert "(1 points completed)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--set", "a2"], "--set expects KEY=VALUE"),
+    (["--set", "bogus=1"], "unknown spec field 'bogus'"),
+    (["--config", "missing.json"], "cannot read config"),
+])
+def test_propagate_rejects_bad_flags(tmp_path, spec_file, capsys, flags,
+                                     message):
+    args = ["propagate", "--config", str(spec_file), "--periods", "1",
+            "--steps-per-period", "100", "--out", str(tmp_path / "x")]
+    code = main(args + [str(tmp_path / f) if f.endswith(".json") else f
+                        for f in flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_bad_grid_number(tmp_path, spec_file, capsys):
+    assert main(["scan-minp1", "--config", str(spec_file),
+                 "--grid", "0:six:3", "--out", str(tmp_path / "x")]) == 1
+    assert "bad --grid value" in capsys.readouterr().err
+
+
+def test_ambiguous_matching_reaches_the_manifest(tmp_path, spec_file,
+                                                 monkeypatch):
+    from floquet_lattice import floquet
+    real, calls = floquet._best_permutation, []
+
+    def flag_second_step(*args):
+        perm, ambiguous = real(*args)
+        calls.append(args)
+        return perm, ambiguous or len(calls) == 2
+
+    monkeypatch.setattr(floquet, "_best_permutation", flag_second_step)
+    out = tmp_path / "spec"
+    assert main(["scan-spectrum", "--config", str(spec_file),
+                 "--grid", "0:0.5:4", "--steps-per-period", "500",
+                 "--workers", "1", "--out", str(out)]) == 0
+    (warning,) = json.loads((out / "manifest.json").read_text())["warnings"]
+    assert warning.startswith("ambiguous mode matching at a2=")
+    assert "3.333333" in warning  # the third grid point, a2/omega = 1/3
+
+
 @pytest.mark.parametrize("command", ["floquet", "scan-spectrum"])
 def test_periods_only_where_a_horizon_is_used(tmp_path, spec_file, capsys,
                                                command):

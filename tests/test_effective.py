@@ -159,6 +159,14 @@ def test_degenerate_couplings_rejected():
         effective_params(spec3(a1=z1, a2=z1), E1)
 
 
+@pytest.mark.parametrize("t_final, n_samples, message", [
+    (0.0, 11, "t_final"), (-1.0, 11, "t_final"), (1.0, 1, "n_samples")])
+def test_effective_propagate_rejects_bad_grids(t_final, n_samples, message):
+    params = effective_params(spec3(a2=5.0), E1)
+    with pytest.raises(ValidationError, match=message):
+        effective_propagate(params, E1, t_final, n_samples)
+
+
 def test_requires_three_sites():
     spec4 = SystemSpec(n_sites=4, omega0=1.0, nu0=0.0, a1=22.0, a2=0.0, omega=10.0)
     with pytest.raises(ValidationError):

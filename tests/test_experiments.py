@@ -49,6 +49,10 @@ def test_config_validation():
         small_config(horizon_periods=0)
     with pytest.raises(ValidationError, match="initial_site"):
         small_config(initial_site=9)
+    with pytest.raises(ValidationError, match="finite"):
+        small_config(grid_start=float("nan"))
+    with pytest.raises(ValidationError, match="finite"):
+        small_config(grid_stop=float("inf"))
 
 
 # 500.0 is integral and above every minimum, so only the type check rejects it

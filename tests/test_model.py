@@ -5,12 +5,23 @@ import numpy as np
 import pytest
 
 from floquet_lattice import (
+    StateVector,
     SystemSpec,
     ValidationError,
+    averaged_populations,
+    basis_state,
+    effective_params,
+    effective_propagate,
     hamiltonian_at,
+    propagate,
     spec_from_json,
     spec_to_json,
     validate,
+)
+from floquet_lattice.propagator import (
+    folded_min_population,
+    folded_population_series,
+    one_period_table,
 )
 
 
@@ -131,3 +142,57 @@ def test_json_missing_keys_rejected():
 def test_json_rejects_non_object():
     with pytest.raises(ValidationError):
         spec_from_json("[1, 2]")
+
+
+def test_json_n_sites_must_be_integral():
+    payload = json.loads(spec_to_json(three_site()))
+    assert SystemSpec.from_json_dict({**payload, "n_sites": 3.0}).n_sites == 3
+    with pytest.raises(ValidationError, match="n_sites"):
+        SystemSpec.from_json_dict({**payload, "n_sites": 3.5})
+
+
+# Every entry point that takes a state or mode vector goes through one
+# check: n_sites amplitudes, unit norm within 1e-9; NaN and Inf fail.
+def _state_entry_points():
+    spec = three_site(a2=5.0)
+    params = effective_params(spec, basis_state(3, 1))
+    table = one_period_table(spec, [0.0, 20.0], 200)
+    return {
+        "propagate": lambda a: propagate(spec, StateVector(a), spec.period,
+                                         200),
+        "effective_params": lambda a: effective_params(spec, StateVector(a)),
+        "effective_propagate": lambda a: effective_propagate(
+            params, StateVector(a), 1.0),
+        "averaged_populations": lambda a: averaged_populations(spec, a, 200),
+        "folded_min_population": lambda a: folded_min_population(
+            table, 0, a, 2),
+        "folded_population_series": lambda a: folded_population_series(
+            table, 0, a, 2),
+    }
+
+
+@pytest.mark.parametrize("state, message", [
+    ([math.nan, 0.0, 0.0], "norm"),
+    ([math.inf, 0.0, 0.0], "norm"),
+    ([2.0, 0.0, 0.0], "norm"),
+    ([1.0, 0.0], "sites"),
+    ([1.0, 0.0, 0.0, 0.0], "sites"),
+], ids=["nan", "inf", "norm-2", "short", "long"])
+@pytest.mark.parametrize("entry", [
+    "propagate", "effective_params", "effective_propagate",
+    "averaged_populations", "folded_min_population",
+    "folded_population_series"])
+def test_every_state_entry_point_rejects_bad_states(entry, state, message):
+    call = _state_entry_points()[entry]
+    with pytest.raises(ValidationError, match=message):
+        call(np.array(state, dtype=complex))
+
+
+@pytest.mark.parametrize("site", [1.5, True, 0, 4, -1])
+def test_basis_state_rejects_bad_sites(site):
+    with pytest.raises(ValidationError, match="site"):
+        basis_state(3, site)
+
+
+def test_basis_state_accepts_numpy_sites():
+    assert basis_state(3, np.int64(3)).amplitudes.tolist() == [0, 0, 1]
