@@ -601,19 +601,17 @@ def _table_starts(table: PeriodTable, point, initial, periods):
     ``np.matmul`` per period for the whole group. Each point is gated only
     when it is asked for.
     """
-    count = len(table.monodromies)
+    count, n = table.monodromies.shape[:2]
     require_int("point", point, 0)
     if point >= count:
         raise ValidationError(f"point must be < {count}, got {point}")
     require_int("periods", periods, 1)
-    initial = require_state("initial state", initial,
-                            table.monodromies.shape[1])
+    initial = require_state("initial state", initial, n)
     group = table._starts[0]
     if (group is None or group[1] != periods
             or not group[0] <= point < group[0] + len(group[3])
             or not np.array_equal(group[2], initial)):
         table._starts[0] = group = None  # freed before the next is formed
-        n = table.monodromies.shape[1]
         size = max(1, STARTS_BYTES // (16 * n * (periods + 1)))
         w, drift = _period_starts(table.monodromies[point:point + size],
                                   initial, periods)
