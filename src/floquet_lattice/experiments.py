@@ -27,12 +27,7 @@ import numpy as np
 from . import csvio
 from .effective import analytic_p1, effective_params
 from .errors import IntegrationFailure, NumericsError, ScanInterrupted, ValidationError
-from .floquet import (
-    BranchSet,
-    _circular_gap,
-    classify_closest_approach,
-    track_branches,
-)
+from .floquet import BranchSet, classify_closest_approach, track_branches
 from .model import SystemSpec, apply_spec_overrides, require_int, require_site
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -243,47 +238,26 @@ def scan_spectrum(
         return result
 
     for z in landmarks:
+        window = np.abs(ratios - z) <= REFINE_HALF_WINDOW + 1e-12
+        if np.count_nonzero(window) < 3:
+            continue
         try:
-            approach = _classify_near(branch_set, z, spec.omega)
+            closest = classify_closest_approach(branch_set, window)
         except ValidationError as exc:
             result.warnings.append(
                 f"no classifiable close approach near a2/omega={z!r}: {exc}"
             )
             continue
-        if approach is None:
-            continue
-        pair, closest = approach
         result.classifications.append(
             {
                 "zero": z,
-                "branches": list(pair),
+                "branches": list(closest.branches),
                 "kind": closest.kind,
                 "location": closest.location / spec.omega,
                 "gap": closest.gap,
             }
         )
     return result
-
-
-def _classify_near(branch_set: BranchSet, zero: float, omega: float):
-    """Classify the minimal-gap branch pair inside the window around a zero."""
-    ratios = branch_set.param_values / omega
-    mask = np.abs(ratios - zero) <= REFINE_HALF_WINDOW + 1e-12
-    if int(mask.sum()) < 3:
-        return None
-    branches = branch_set.branches
-    best_pair, best_gap = None, math.inf
-    for a in range(len(branches)):
-        for b in range(a + 1, len(branches)):
-            gap = np.min(_circular_gap(branches[a].quasienergies[mask],
-                                       branches[b].quasienergies[mask], omega))
-            if gap < best_gap:
-                best_gap, best_pair = gap, (a, b)
-    a, b = best_pair
-    closest = classify_closest_approach(
-        branches[a].window(mask), branches[b].window(mask)
-    )
-    return best_pair, closest
 
 
 # ---------------------------------------------------------------------------

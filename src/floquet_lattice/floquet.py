@@ -10,12 +10,20 @@ matrix the Schur form is diagonal, so the Schur basis is an orthonormal
 eigenbasis even at exact degeneracies. One eigen step, ``_sorted_modes``,
 sorts and checks the modes of every operator, and mode populations are
 averaged over a period by the propagator's ``period_average``.
+
+``track_branches`` returns a ``BranchSet``: the a2 grid, the base spec and
+the step count, held once, and one ``Branch`` per mode with its
+quasi-energy, vector, populations and residual at every grid point.
+``classify_closest_approach(branch_set, window)`` picks the branch pair
+with the smallest circular quasi-energy gap inside a mask of grid points
+and refines and classifies its closest approach.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -159,37 +167,25 @@ def averaged_populations(
 
 @dataclass
 class Branch:
-    """One quasi-energy branch followed through an a2 sweep
-    (``param_values`` are the a2 values)."""
+    """One quasi-energy branch followed through its BranchSet's a2 grid."""
 
     branch_id: int
-    param_values: np.ndarray
     quasienergies: np.ndarray
     vectors: np.ndarray          # (points, n_sites)
     avg_populations: np.ndarray  # (points, n_sites)
     residuals: np.ndarray
-    base_spec: SystemSpec        # the other fields of every point
-    steps_per_period: int
-
-    def window(self, mask: np.ndarray) -> "Branch":
-        """Restriction of the branch to a boolean mask of grid points."""
-        return Branch(
-            branch_id=self.branch_id,
-            param_values=self.param_values[mask],
-            quasienergies=self.quasienergies[mask],
-            vectors=self.vectors[mask],
-            avg_populations=self.avg_populations[mask],
-            residuals=self.residuals[mask],
-            base_spec=self.base_spec,
-            steps_per_period=self.steps_per_period,
-        )
 
 
 @dataclass
 class BranchSet:
+    """Branches on one a2 grid (``param_values``); every grid point has the
+    other fields of ``base_spec`` and was integrated at ``steps_per_period``."""
+
     param_values: np.ndarray
+    base_spec: SystemSpec
+    steps_per_period: int
     branches: list[Branch]
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def _unpruned_matchings(overlap: list[list[float]]) -> list[tuple]:
@@ -354,28 +350,21 @@ def track_branches(
         )
         if ambiguous:
             warnings.append(
-                f"ambiguous mode matching at a2={params[i]!r}; "
+                f"ambiguous mode matching at a2={float(params[i])!r}; "
                 "resolved by quasi-energy proximity"
             )
         orders[i] = [perm[k] for k in range(n)]
 
+    idx = np.arange(p)
     branches = []
     for b in range(n):
-        sel = orders[:, b]
-        idx = np.arange(p)
-        branches.append(
-            Branch(
-                branch_id=b,
-                param_values=params.copy(),
-                quasienergies=eps[idx, sel],
-                vectors=vecs[idx, sel],
-                avg_populations=pops[idx, sel],
-                residuals=resid[idx, sel],
-                base_spec=base_spec,
-                steps_per_period=steps_per_period,
-            )
-        )
-    return BranchSet(param_values=params, branches=branches, warnings=warnings)
+        at = (idx, orders[:, b])
+        branches.append(Branch(branch_id=b, quasienergies=eps[at],
+                               vectors=vecs[at], avg_populations=pops[at],
+                               residuals=resid[at]))
+    return BranchSet(param_values=params, base_spec=base_spec,
+                     steps_per_period=steps_per_period, branches=branches,
+                     warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -391,37 +380,42 @@ def _circular_gap(e1, e2, omega: float):
 
 @dataclass(frozen=True)
 class ClosestApproach:
+    branches: tuple[int, int]  # the pair, as indices into the set
     kind: str       # "crossing" or "avoided"
     location: float  # a2 at the minimum gap
     gap: float
     evaluations: int
 
 
-def _gap_probe(branch_a: Branch, branch_b: Branch, anchor: int, x: float) -> float:
-    """Gap between the two tracked branches re-evaluated at parameter x.
+def _gap_probe(branch_set: BranchSet, pair, anchor: int, x: float) -> float:
+    """Gap between a pair of tracked branches re-evaluated at a2 = x, each
+    branch identified by overlap with its mode at grid point ``anchor``.
 
     Only eigenvalues and eigenvectors are needed here, so the mode
     populations are skipped.
     """
-    spec = branch_a.base_spec.replace(a2=float(x))
-    op = monodromy(spec, branch_a.steps_per_period)
+    spec = branch_set.base_spec.replace(a2=float(x))
+    op = monodromy(spec, branch_set.steps_per_period)
     eps, vecs, _ = _sorted_modes(op.matrix, spec.omega)
-    ov_a = np.abs(vecs.conj() @ branch_a.vectors[anchor])
-    ov_b = np.abs(vecs.conj() @ branch_b.vectors[anchor])
+    ov_a, ov_b = (np.abs(vecs.conj() @ branch_set.branches[k].vectors[anchor])
+                  for k in pair)
     ia = int(np.argmax(ov_a))
     ov_b[ia] = -1.0  # the pair must be two distinct modes
     ib = int(np.argmax(ov_b))
     return float(_circular_gap(eps[ia], eps[ib], spec.omega))
 
 
-def classify_closest_approach(branch_a: Branch,
-                              branch_b: Branch) -> ClosestApproach:
-    """Locate and classify the closest approach of two tracked branches.
+def classify_closest_approach(branch_set: BranchSet,
+                              window) -> ClosestApproach:
+    """Locate and classify the closest approach of two branches in a window.
 
-    Finds the interior local minimum of the circular quasi-energy gap g on
-    the common grid (smallest gap wins if there are several; leftmost on
-    ties), then refines it by successive parabolic interpolation on g^2
-    inside the bracketing grid triple. Near a two-level approach
+    ``window`` is a boolean mask over the set's grid. The pair classified
+    is the one whose circular quasi-energy gap g reaches the smallest value
+    at any grid point of the window (the first pair in (a, b) order on
+    ties). The method finds the interior local minimum of g on the window
+    (smallest gap wins if there are several; leftmost on ties), then
+    refines it by successive parabolic interpolation on g^2 inside the
+    bracketing grid triple. Near a two-level approach
     g^2 = s^2 (x - x0)^2 + Delta^2 to leading order, so the vertex of the
     parabola through three points lands almost on the minimum (Brent 1973,
     ch. 5, without the golden-section fallback). The triple's middle point
@@ -431,14 +425,20 @@ def classify_closest_approach(branch_a: Branch,
     or grid value, at its location; the approach counts as a crossing when
     that gap falls below GAP_THRESHOLD_FACTOR * omega.
     """
-    if not np.array_equal(branch_a.param_values, branch_b.param_values):
-        raise ValidationError("branches must share one common parameter grid")
-    params = branch_a.param_values
-    if params.size < 3:
+    window = np.asarray(window, dtype=bool)
+    if window.shape != branch_set.param_values.shape:
+        raise ValidationError("window must be a mask over the branch set's grid")
+    points = np.flatnonzero(window)
+    if points.size < 3:
         raise ValidationError("need at least 3 grid points to bracket a minimum")
-    omega = branch_a.base_spec.omega
+    params = branch_set.param_values[points]
+    omega = branch_set.base_spec.omega
 
-    g = _circular_gap(branch_a.quasienergies, branch_b.quasienergies, omega)
+    eps = [branch.quasienergies[points] for branch in branch_set.branches]
+    gaps = {(a, b): _circular_gap(eps[a], eps[b], omega)
+            for a, b in itertools.combinations(range(len(eps)), 2)}
+    pair = min(gaps, key=lambda ab: np.min(gaps[ab]))
+    g = gaps[pair]
     interior = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
     if interior.size == 0:
         raise ValidationError("no interior local minimum of the gap in range")
@@ -456,7 +456,7 @@ def classify_closest_approach(branch_a: Branch,
         if abs(p) <= 2.0 * REFINE_TOLERANCE_FACTOR * omega * abs(q):
             break
         x = x1 - 0.5 * p / q
-        gx = _gap_probe(branch_a, branch_b, best, x)
+        gx = _gap_probe(branch_set, pair, points[best], x)
         evaluations += 1
         if gx < best_g:
             best_x, best_g = float(x), gx
@@ -473,6 +473,7 @@ def classify_closest_approach(branch_a: Branch,
             x2, f2 = x, fx
 
     return ClosestApproach(
+        branches=pair,
         kind="crossing" if best_g < GAP_THRESHOLD_FACTOR * omega else "avoided",
         location=best_x,
         gap=best_g,

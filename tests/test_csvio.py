@@ -1,14 +1,22 @@
-import numpy as np
+import tempfile
+from pathlib import Path
 
-from floquet_lattice import SystemSpec, basis_state, effective_params, \
-    effective_propagate
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from floquet_lattice import Branch, FloquetMode, SystemSpec, basis_state, \
+    effective_params, effective_propagate
 from floquet_lattice.csvio import (
     _write_table,
     fmt,
     write_heatmap,
     write_min_p1_scan,
+    write_modes,
     write_monodromy,
     write_population_series,
+    write_spectrum,
     write_trajectory,
 )
 
@@ -102,3 +110,78 @@ def test_float_writers_match_fmt_per_cell(tmp_path):
     assert (tmp_path / "heat.csv").read_text() == _fmt_lines(
         [(t, a, grid[i, k]) for i, a in enumerate(a2)
          for k, t in enumerate(times)], "t,a2,p1", "h")
+
+
+# Each writer below is fed the columns of a (rows, 5) float table and
+# returns the table of floats its CSV must read back to, row by row.
+
+def _trajectory(path, t):
+    write_trajectory(path, t[:, 0], np.ascontiguousarray(t[:, 1:]).view(complex),
+                     comment="c")
+    return t
+
+
+def _series(path, t):
+    write_population_series(path, t[:, 0], t[:, 1])
+    return t[:, :2]
+
+
+def _min_p1(path, t):
+    write_min_p1_scan(path, t[:, 0], t[:, 1])
+    return t[:, :2]
+
+
+def _monodromy(path, t):
+    write_monodromy(path, np.ascontiguousarray(t[:, 1:]).view(complex))
+    return t[:, 1:]
+
+
+def _heatmap(path, t):
+    write_heatmap(path, t[0], t[:, 0], t, comment="h")
+    return np.column_stack((np.tile(t[0], len(t)), np.repeat(t[:, 0], 5),
+                            np.ravel(t)))
+
+
+def _spectrum(path, t, include_residual):
+    branches = [Branch(branch_id=b, quasienergies=t[:, 1 + b],
+                       vectors=np.zeros((len(t), 2), dtype=complex),
+                       avg_populations=t[:, 3:5], residuals=t[:, 2 - b])
+                for b in range(2)]
+    write_spectrum(path, t[:, 0], branches, include_residual)
+    return [[t[i, 0], b, t[i, 1 + b], t[i, 3], t[i, 4]]
+            + ([t[i, 2 - b]] if include_residual else [])
+            for i in range(len(t)) for b in range(2)]
+
+
+def _modes(path, t):
+    modes = [FloquetMode(quasienergy=float(row[1]), vector=np.zeros(2),
+                         eigen_residual=float(row[4]),
+                         avg_populations=row[2:4])
+             for row in t]
+    write_modes(path, t[0, 0], modes)
+    return [[t[0, 0], k, *row[1:]] for k, row in enumerate(t)]
+
+
+@pytest.mark.parametrize("write", [
+    _trajectory, _series, _min_p1, _monodromy, _heatmap, _modes,
+    lambda path, t: _spectrum(path, t, include_residual=False),
+    lambda path, t: _spectrum(path, t, include_residual=True),
+], ids=["trajectory", "series", "min_p1", "monodromy", "heatmap", "modes",
+        "spectrum", "spectrum_residual"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(5)),
+                    elements=st.floats(allow_subnormal=True)
+                    | st.sampled_from(AWKWARD)))
+def test_float_writers_read_back_exactly(write, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        want = np.array(write(path, table), dtype=float)
+        lines = path.read_text(encoding="ascii").splitlines()
+    rows = [line for line in lines if not line.startswith("#")][1:]
+    got = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # bit equality off NaN tells -0.0 from 0.0 and keeps every subnormal;
+    # a NaN's sign and payload do not survive decimal text
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))

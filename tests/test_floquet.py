@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from floquet_lattice import (
     Branch,
+    BranchSet,
     IntegrationFailure,
     NumericsError,
     SystemSpec,
@@ -344,45 +345,90 @@ def test_eigen_gate_names_the_remedy():
         floquet_modes(op)
 
 
-def _flat_branch(bid, value, params):
-    p = len(params)
-    return Branch(
-        branch_id=bid,
+def _branch_set(rows, params):
+    """BranchSet on the a2 grid ``params`` (omega = 10) whose branch k has
+    quasi-energies ``rows[k]``, a scalar for a flat branch, and the mode
+    vector e_k throughout."""
+    p, n = len(params), len(rows)
+    branches = [
+        Branch(branch_id=k,
+               quasienergies=np.array(np.broadcast_to(row, (p,)), dtype=float),
+               vectors=np.tile(np.eye(n, dtype=complex)[k], (p, 1)),
+               avg_populations=np.full((p, n), 1.0 / n),
+               residuals=np.zeros(p))
+        for k, row in enumerate(rows)
+    ]
+    return BranchSet(
         param_values=np.asarray(params, dtype=float),
-        quasienergies=np.full(p, value),
-        vectors=np.tile(np.eye(2, dtype=complex)[bid], (p, 1)),
-        avg_populations=np.full((p, 2), 0.5),
-        residuals=np.zeros(p),
-        base_spec=SystemSpec(n_sites=2, omega0=1.0, nu0=0.0, a1=0.0, a2=0.0,
+        base_spec=SystemSpec(n_sites=n, omega0=1.0, nu0=0.0, a1=0.0, a2=0.0,
                              omega=10.0),
-        steps_per_period=500,
-    )
+        steps_per_period=500, branches=branches, warnings=[])
+
+
+def _everywhere(branch_set):
+    return np.ones(branch_set.param_values.shape, dtype=bool)
 
 
 def test_classify_flat_branches_returns_leftmost():
-    params = [0.0, 1.0, 2.0, 3.0]
-    res = classify_closest_approach(_flat_branch(0, 0.5, params),
-                                    _flat_branch(1, -0.5, params))
+    branch_set = _branch_set([0.5, -0.5], [0.0, 1.0, 2.0, 3.0])
+    res = classify_closest_approach(branch_set, _everywhere(branch_set))
+    assert res.branches == (0, 1)
     assert res.kind == "avoided"
     assert res.gap == pytest.approx(1.0)
     assert res.location == 1.0  # leftmost interior grid point
+    assert res.evaluations == 0  # a flat gap needs no probe
 
 
 def test_classify_requires_local_minimum():
-    params = [0.0, 1.0, 2.0, 3.0]
-    a = _flat_branch(0, 0.0, params)
-    b = _flat_branch(1, 0.0, params)
-    b.quasienergies = np.array([4.0, 3.0, 2.0, 1.0])  # monotone gap
+    branch_set = _branch_set([0.0, [4.0, 3.0, 2.0, 1.0]],  # monotone gap
+                             [0.0, 1.0, 2.0, 3.0])
     with pytest.raises(ValidationError, match="minimum"):
-        classify_closest_approach(a, b)
+        classify_closest_approach(branch_set, _everywhere(branch_set))
+
+
+def test_classify_pair_by_circular_gap_across_the_zone_edge():
+    # 4.9 and -4.9 are 0.2 apart on the folding circle of omega = 10, but
+    # 9.8 apart on the line, where (0, 2) at 2.9 would be the closest pair
+    branch_set = _branch_set([4.9, -4.9, 2.0], [0.0, 1.0, 2.0])
+    res = classify_closest_approach(branch_set, _everywhere(branch_set))
+    assert res.branches == (0, 1)
+    assert res.gap == pytest.approx(0.2)
+
+
+def test_classify_takes_the_first_pair_on_ties():
+    # (0, 3) and (1, 2) are both exactly 1.0 apart; (0, 3) comes first
+    branch_set = _branch_set([0.0, 3.0, 4.0, 1.0], [0.0, 1.0, 2.0])
+    res = classify_closest_approach(branch_set, _everywhere(branch_set))
+    assert res.branches == (0, 3)
+    assert res.gap == 1.0
+
+
+def test_classify_searches_only_inside_the_window():
+    # (0, 1) is the closest pair on the whole grid and (0, 2) inside the
+    # window of the last three points
+    branch_set = _branch_set([0.0, [0.1] * 3 + [3.0] * 3,
+                              [2.0] * 3 + [0.5] * 3],
+                             [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    assert classify_closest_approach(
+        branch_set, _everywhere(branch_set)).branches == (0, 1)
+    window = np.array([False, False, False, True, True, True])
+    res = classify_closest_approach(branch_set, window)
+    assert res.branches == (0, 2)
+    assert res.gap == 0.5
+    assert res.location == 4.0  # the window's only interior point
+    with pytest.raises(ValidationError, match="mask over"):
+        classify_closest_approach(branch_set, window[:4])
+    with pytest.raises(ValidationError, match="at least 3"):
+        classify_closest_approach(branch_set, window & (np.arange(6) > 3))
 
 
 def _classify_first_zero_pair(nu0):
     """Closest approach of the four-site pair with the smallest grid gap,
     on an 11-point grid around the first J0 zero at omega = 10.
 
-    Also checks the parabolic refinement: a few probes, and a reported gap
-    no larger than the gap probed 1e-5 omega to either side of it.
+    The package must pick the pair this test's own search picks. Also
+    checks the parabolic refinement: a few probes, and a reported gap no
+    larger than the gap probed 1e-5 omega to either side of it.
     """
     z1 = j0_zero(1)
     ratios = np.linspace(z1 - 0.2, z1 + 0.05, 11)
@@ -396,12 +442,13 @@ def _classify_first_zero_pair(nu0):
             if best is None or g < best[0]:
                 best = (g, i, j)
     _, i, j = best
-    a, b = branch_set.branches[i], branch_set.branches[j]
-    res = classify_closest_approach(a, b)
+    res = classify_closest_approach(branch_set, _everywhere(branch_set))
+    assert res.branches == (i, j)
     assert res.evaluations <= 8
+    a, b = branch_set.branches[i], branch_set.branches[j]
     anchor = int(np.argmin(np.abs(a.quasienergies - b.quasienergies)))
     for x in (res.location - 1e-4, res.location + 1e-4):
-        assert res.gap <= _gap_probe(a, b, anchor, x)
+        assert res.gap <= _gap_probe(branch_set, (i, j), anchor, x)
     return res
 
 
