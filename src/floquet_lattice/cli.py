@@ -147,8 +147,22 @@ def _workers(args) -> int:
     return args.workers
 
 
+def _check_out(out: Path) -> None:
+    """Fail before any work unless ``out`` is a writable directory or can
+    be made one: the nearest existing path at or above it must be a
+    writable directory. Nothing is created, so a failed run leaves no
+    directory behind."""
+    probe = out.absolute()
+    while not probe.exists() and probe != probe.parent:
+        probe = probe.parent
+    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+        raise ValidationError(f"--out {str(out)!r}: {str(probe)!r} is not "
+                              "a writable directory")
+
+
 def _cmd_propagate(args) -> int:
     spec = _load_spec(args)
+    _check_out(args.out)
     started = time.perf_counter()
     traj = propagate(
         spec,
@@ -177,6 +191,7 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_floquet(args) -> int:
     spec = _load_spec(args)
+    _check_out(args.out)
     started = time.perf_counter()
     op = monodromy(spec, steps_per_period=args.steps_per_period)
     modes = floquet_modes(op)
@@ -215,6 +230,7 @@ def _cmd_scan_minp1(args) -> int:
     config = _scan_config(args, spec, horizon_periods=args.periods,
                           initial_site=args.initial_site)
     workers = _workers(args)
+    _check_out(args.out)
     started = time.perf_counter()
     result = scan_min_p1(config, workers=workers)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -235,6 +251,7 @@ def _cmd_scan_spectrum(args) -> int:
     spec = _load_spec(args)
     config = _scan_config(args, spec)
     workers = _workers(args)
+    _check_out(args.out)
     started = time.perf_counter()
     result = scan_spectrum(config, workers=workers)
     args.out.mkdir(parents=True, exist_ok=True)

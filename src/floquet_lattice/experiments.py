@@ -239,7 +239,12 @@ def scan_spectrum(
 
     for z in landmarks:
         window = np.abs(ratios - z) <= REFINE_HALF_WINDOW + 1e-12
-        if np.count_nonzero(window) < 3:
+        points = np.count_nonzero(window)
+        if points < 3:
+            result.warnings.append(
+                f"no classification near a2/omega={z!r}: its window holds "
+                f"{points} grid points, fewer than 3"
+            )
             continue
         try:
             closest = classify_closest_approach(branch_set, window)

@@ -264,8 +264,9 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     step matrices of every point by Horner's rule and one ``np.matmul`` per
     step over the points. Every buffer is sized from CHUNK_BYTES. The norm
     gate reads the norms of every state of a sub-block in one reduction; the
-    first failing step raises IntegrationFailure with its time. Overflow and
-    NaN in the arithmetic are left for that gate to report.
+    first failing step raises IntegrationFailure with its time and the a2 of
+    its worst point. Overflow and NaN in the arithmetic are left for that
+    gate to report.
 
     ``on_chunk(first, states)`` sees the states at sample indices first,
     first + 1, ... as a (samples, points, k, n) array: once with the initial
@@ -303,11 +304,28 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
                 cur[...] = prev
                 norms = np.sum(y.real**2 + y.imag**2, axis=-1)
                 dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
-                max_dev = max(max_dev,
-                              _norm_gate(dev, t0, s0, h, "at t={t!r}"))
+                try:
+                    max_dev = max(max_dev,
+                                  _norm_gate(dev, t0, s0, h, "at t={t!r}"))
+                except IntegrationFailure:
+                    raise _sweep_failure(dev, norms, a2, t0, s0, h) from None
                 if on_chunk is not None:
                     on_chunk(s0 + 1, y)
     return cur, max_dev
+
+
+def _sweep_failure(dev, norms, a2, t0: float, s0: int,
+                   h: float) -> IntegrationFailure:
+    """The sweep gate's failure, naming the a2 of the worst point at the
+    first failing step; ``norms`` is (steps, points, k). Called only once
+    the gate has failed, so the sweep's loop does no work for it."""
+    i = int(np.argmax(~(dev <= NORM_FAILURE_BOUND)))
+    worst = np.abs(norms[i] - 1.0).reshape(a2.size, -1).max(axis=1)
+    point = int(np.argmax(worst))  # the first NaN, if there is one
+    try:
+        _norm_gate(dev, t0, s0, h, f"at a2={float(a2[point])!r}, t={{t!r}}")
+    except IntegrationFailure as exc:
+        return exc
 
 
 def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,

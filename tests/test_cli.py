@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from floquet_lattice import cli
 from floquet_lattice.cli import main
 
 
@@ -219,6 +220,24 @@ def test_floquet_out_is_an_existing_file(tmp_path, spec_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, work", [
+    ("propagate", "propagate"), ("floquet", "monodromy"),
+    ("scan-minp1", "scan_min_p1"), ("scan-spectrum", "scan_spectrum"),
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_is_checked_before_any_work(tmp_path, spec_file, capsys,
+                                        monkeypatch, command, work, below):
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "x" if below else taken
+    code = main([command, "--config", str(spec_file), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
 def test_reproduce_out_below_a_file(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -264,6 +283,24 @@ def test_bad_grid_number(tmp_path, spec_file, capsys):
     assert main(["scan-minp1", "--config", str(spec_file),
                  "--grid", "0:six:3", "--out", str(tmp_path / "x")]) == 1
     assert "bad --grid value" in capsys.readouterr().err
+
+
+def test_every_landmark_is_classified_or_warned(tmp_path):
+    # on a coarse wide grid each J0 zero's window holds only 2 points
+    config = tmp_path / "four.json"
+    config.write_text(json.dumps({"n_sites": 4, "omega0": 1.0, "nu0": 0.0,
+                                  "a1": 22.0, "a2": 0.0, "omega": 10.0}))
+    out = tmp_path / "spec"
+    assert main(["scan-spectrum", "--config", str(config),
+                 "--grid", "0:15:4", "--workers", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["landmarks"]) == 5
+    classified = {c["zero"] for c in manifest["classifications"]}
+    for z in manifest["landmarks"]:
+        warned = [w for w in manifest["warnings"] if f"a2/omega={z!r}" in w]
+        assert (z in classified) != bool(warned)
+        assert all("holds 2 grid points" in w for w in warned)
 
 
 def test_ambiguous_matching_reaches_the_manifest(tmp_path, spec_file,

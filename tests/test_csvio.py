@@ -8,8 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from floquet_lattice import Branch, FloquetMode, SystemSpec, basis_state, \
     effective_params, effective_propagate
+from floquet_lattice import ValidationError
 from floquet_lattice.csvio import (
-    _write_table,
+    BLOCK_CELLS,
+    _write_columns,
+    _write_floats,
     fmt,
     write_heatmap,
     write_min_p1_scan,
@@ -76,8 +79,66 @@ def test_table_writer_matches_fmt_per_cell(tmp_path):
                             rng.normal(size=(5, 3)) * 10.0 ** rng.integers(
                                 -300, 300, size=(5, 3))])
     path = tmp_path / "table.csv"
-    _write_table(path, "a,b,c", table, comment="note")
+    _write_floats(path, "a,b,c", table.T, comment="note")
     assert path.read_bytes() == _fmt_lines(table, "a,b,c", "note").encode()
+
+
+def _awkward_table(rows, n_columns, seed):
+    """(rows, n_columns) floats: the AWKWARD values cycled, then shuffled
+    with random values of every magnitude."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=rows * n_columns) * 10.0 ** rng.integers(
+        -300, 300, size=rows * n_columns)
+    table[::2] = np.resize(AWKWARD, table[::2].size)
+    return rng.permutation(table).reshape(rows, n_columns)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2x+3"])
+def test_float_writer_across_block_edges(tmp_path, extra):
+    block = BLOCK_CELLS // 3
+    rows = 2 * block + 3 if extra == "2x+3" else block + extra
+    table = _awkward_table(rows, 3, seed=rows)
+    path = tmp_path / "table.csv"
+    _write_floats(path, "a,b,c", table.T, comment="edge")
+    assert path.read_bytes() == _fmt_lines(table, "a,b,c", "edge").encode()
+
+
+def test_heatmap_across_blocks_matches_fmt_per_cell(tmp_path):
+    # 7 times do not divide the block, so blocks start mid-way through an a2
+    times = np.array(AWKWARD[:7])
+    a2 = np.resize(AWKWARD, BLOCK_CELLS // 7 + 5)  # about 3 blocks of rows
+    grid = _awkward_table(a2.size, times.size, seed=5)
+    write_heatmap(tmp_path / "heat.csv", times, a2, grid, comment="h")
+    assert (tmp_path / "heat.csv").read_bytes() == _fmt_lines(
+        [(t, a, grid[i, k]) for i, a in enumerate(a2)
+         for k, t in enumerate(times)], "t,a2,p1", "h").encode()
+
+
+def test_repeated_columns_cycle_across_blocks(tmp_path):
+    block = BLOCK_CELLS // 3
+    rows = 2 * block + 3
+    ids = np.arange(4)
+    values = np.resize(AWKWARD, (rows + 4) // 5)
+    path = tmp_path / "cols.csv"
+    _write_columns(path, "v,id,x", rows, [(values, 5), (ids, 1),
+                                          (np.arange(rows) / 3.0, 1)])
+    want = [(values[i // 5], ids[i % 4], i / 3.0) for i in range(rows)]
+    assert path.read_bytes() == _fmt_lines(want, "v,id,x").encode()
+
+
+def test_heatmap_grid_must_match_its_axes(tmp_path):
+    times, a2 = np.arange(3.0), np.arange(2.0)
+    path = tmp_path / "heat.csv"
+    for grid in (np.zeros((3, 2)), np.zeros(6), np.zeros((2, 4))):
+        with pytest.raises(ValidationError, match="p1_grid must have shape"):
+            write_heatmap(path, times, a2, grid)
+    assert not path.exists()
+
+
+def test_float_columns_must_share_a_length(tmp_path):
+    with pytest.raises(ValidationError, match="differ in length"):
+        write_population_series(tmp_path / "s.csv", np.arange(3.0),
+                                np.arange(4.0))
 
 
 def test_float_writers_match_fmt_per_cell(tmp_path):

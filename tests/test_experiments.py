@@ -1,5 +1,7 @@
 import json
+import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from floquet_lattice import (
+    IntegrationFailure,
     ScanConfig,
     ScanInterrupted,
     SystemSpec,
@@ -23,7 +26,11 @@ from floquet_lattice import (
 )
 from floquet_lattice.experiments import write_manifest
 from floquet_lattice.floquet import OVERLAP_AMBIGUITY
-from floquet_lattice.propagator import folded_min_population, one_period_table
+from floquet_lattice.propagator import (
+    basis_sweep,
+    folded_min_population,
+    one_period_table,
+)
 from helpers import direct_propagate
 
 
@@ -178,6 +185,20 @@ def test_spectrum_scan_refines_grid_near_zeros():
     fine = scan_spectrum(config, classify=True)
     assert coarse.ratios.size == 9
     assert fine.ratios.size > 9 * 4
+
+
+def test_sweep_norm_gate_names_the_failing_point():
+    config = replace(figure_scan_config("fig4"), steps_per_period=100)
+    spec = config.base_spec
+    with pytest.raises(IntegrationFailure, match=r"at a2=[^,]+, t=") as err:
+        scan_spectrum(config, workers=1)
+    a2 = float(re.search(r"at a2=([^,]+),", str(err.value)).group(1))
+    assert a2 / spec.omega in config.grid()
+    # the named point fails on its own at the same step
+    with pytest.raises(IntegrationFailure) as alone:
+        basis_sweep(spec, [a2], config.steps_per_period)
+    assert alone.value.time == err.value.time
+    assert str(alone.value) == str(err.value)
 
 
 @pytest.mark.parametrize("n_sites", [10, 12])
