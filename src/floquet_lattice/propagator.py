@@ -42,9 +42,9 @@ sqrt(omega0^2 + nu0^2)) whatever a1 and a2 are: the population form of the
 Mandelstam-Tamm speed bound (1945). One RK4 step therefore moves P by at
 most c = L h plus a margin (``_step_change``) made of the norm gate's
 1e-6 slack in that bound, RK4's one-step deviation from the exact flow at
-||H|| h, and rounding. ``folded_min_population`` evaluates every
-COARSE_STRIDE-th step of every period; between two such samples P >=
-(P_l + P_r) / 2 - k c / 2 (Piyavskii-Shubert, 1972). It then forms the
+||H|| h, and rounding. ``_group_pass`` evaluates every COARSE_STRIDE-th
+step of every period; between two such samples P >= (P_l + P_r) / 2 -
+k c / 2 (Piyavskii-Shubert, 1972). ``folded_min_population`` then forms the
 fold's own blocks in ascending order of that bound, stopping once the next
 bound is at or above the running minimum. Each formed block is the
 product ``_fold`` forms, so the minimum is the full fold's float. The
@@ -52,11 +52,18 @@ recipes evaluate 9.2 % (fig4), 8.8 % (fig8), 7.2 % (fig6), 15.5 % (fig7),
 21.3 % (fig5) and 40.3 % (fig2) of their blocks.
 
 The period starts U^m a0 come from ``_period_starts``, one ``np.matmul``
-per period over a stack of operators; each point's floats are those of
-its own matrix-vector products. ``propagate`` passes a stack of one. A
-scan's points get theirs a group at a time: ``_table_starts`` keeps one
-group on the table, as many points as fit STARTS_BYTES (512 KiB, less
-than the 1.25 MB the sweep has freed by then).
+per period over a stack of operators. Each point's floats are those of its
+own matrix-vector products, so starts regenerated from any one of them are
+the floats of the unbroken recurrence. ``propagate`` and
+``folded_population_series`` pass a stack of one. Min(P1) keeps no
+point's full starts. ``_group_pass`` runs the recurrence for a group of
+points, as many as fit STARTS_BYTES, a slab of periods at a time. Per
+point it keeps the start of every fold block as a checkpoint (Griewank's
+checkpointing, 1992), the blocks' bounds and the starts' norm drift, and
+drops each slab once read. ``folded_min_population`` regenerates the
+starts of the blocks it forms from their checkpoints. The table keeps one
+group, so a scan that asks for its points in order runs each point's
+recurrence once.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ MIN_STEPS_PER_PERIOD = 100
 CHUNK_BYTES = 1 << 18
 
 # Steps between the coarse samples that bound each fold block's minimum
-# (``folded_min_population``). The coarse products cost 1/COARSE_STRIDE of
+# (``_group_pass``). The coarse products cost 1/COARSE_STRIDE of
 # the full fold, and a wider stride loosens the bounds by L h per step. On
 # the fig4 scan (2 workers, one BLAS thread) 10 / 20 / 40 evaluated 8.1 /
 # 9.2 / 10.8 % of the blocks in 1.41-1.58 / 1.15-1.28 / 1.04-1.27 s; on
@@ -92,13 +99,17 @@ CHUNK_BYTES = 1 << 18
 # the host's spread and evaluates fewer blocks on short horizons.
 COARSE_STRIDE = 20
 
-# Byte budget of one group of period starts (``_table_starts``). It lives
-# while the fold runs, after the sweep has freed its 1.25 MB of buffers.
-# On the fig4 scan (2 workers, one BLAS thread, 3 runs each) 1 point /
-# 512 KiB / 768 KiB / 1 MiB / 2 MiB took 2.4-2.8 / 1.5 / 1.2-1.4 /
-# 1.2-1.4 / 1.1-1.4 s, at +0.0 / +0.5 / +0.7 / +1.1 / +3.4 MB of peak RSS
-# over the full fold (4.7-5.9 s). 512 KiB, 4 points at N = 4 and 2 at
-# N = 6 over 2000 periods, keeps the peak within +1 MB.
+# Byte budget of one group of ``_group_pass``: per point, a checkpoint
+# and a bound per fold block and one slab of starts. It lives while the
+# fold runs, after the sweep has freed its 1.25 MB of buffers. Over 2000
+# periods at 2000 steps a group holds 18 points at N = 4 (fig4) and 12 at
+# N = 6 (fig8); over 200 periods, 57 at N = 3 (fig2). Keeping every
+# point's full starts, the same budget held 4, 2 and 54. With one BLAS
+# thread (3 runs each) the fig4 scan took 1.2-1.4 s with 1 worker and
+# 1.1-1.4 s with 2, against 1.55-1.65 and 1.3-1.7 s with full starts;
+# fig8 1.6-1.9 and 1.7-2.0 s against 2.0-2.2 and 1.9-2.4 s. The traced
+# peak of 120 points' folds fell from 1127 to 924 KB at fig4, 1005 to
+# 915 KB at fig8 and 1098 to 954 KB at fig2.
 STARTS_BYTES = 1 << 19
 
 
@@ -423,7 +434,7 @@ def propagate(
 
     n, spp, t0 = spec.n_sites, steps_per_period, initial.time
     (u,), rows, _ = _row_table(spec, [spec.a2], spp, list(range(n)), t0)
-    (w,), _ = _period_starts(u[np.newaxis], a0, nsteps // spp)
+    (w,) = _period_starts(u[np.newaxis], a0, nsteps // spp + 1)
 
     stored = np.empty((nsteps // stride + 1, n), dtype=complex)
     min_pops = np.ones(n)
@@ -491,10 +502,9 @@ class PeriodTable:
     period: float
     max_norm_deviation: float
     step_change: np.ndarray
-    # (first point, periods, initial state, starts, drifts) of the last
-    # group of period starts ``_table_starts`` formed, or None
-    _starts: list = field(default_factory=lambda: [None], init=False,
-                          repr=False, compare=False)
+    # the _StartsGroup ``_group_pass`` formed last, or None
+    _group: list = field(default_factory=lambda: [None], init=False,
+                         repr=False, compare=False)
 
 
 def one_period_table(
@@ -572,23 +582,33 @@ def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
     return u, rows, max_dev
 
 
-def _period_starts(u: np.ndarray, a0: np.ndarray,
-                   periods: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w, drift) for a (points, n, n) stack ``u`` of one-period operators.
+def _period_starts(u: np.ndarray, a0: np.ndarray, count: int) -> np.ndarray:
+    """w[p, :, m] = U_p^m a0 for m = 0..count - 1, for a (points, n, n)
+    stack ``u`` of one-period operators and a0 of shape (n,) or (points, n).
 
-    w[p, :, m] = U_p^m a0 for m = 0..periods, one ``np.matmul`` over the
-    stack per period; drift[p] is the worst norm drift of point p's starts.
-    Each point's floats are those of its own matrix-vector products.
+    One ``np.matmul`` per period over the stack. Each point's floats are
+    those of its own matrix-vector products, so starts regenerated from any
+    one of them are the floats the unbroken recurrence gives.
     """
-    w = np.empty(u.shape[:2] + (periods + 1,), dtype=complex)
+    w = np.empty(u.shape[:2] + (count,), dtype=complex)
     cur = np.empty(u.shape[:2] + (1,), dtype=complex)
     cur[:, :, 0] = a0
-    for m in range(periods + 1):
-        w[:, :, m] = cur[:, :, 0]
+    w[:, :, 0] = a0
+    for m in range(1, count):
         cur = u @ cur
-    drift = [np.max(np.abs(np.sum(x.real**2 + x.imag**2, axis=0) - 1.0))
-             for x in w]
-    return w, np.array(drift)
+        w[:, :, m] = cur[:, :, 0]
+    return w
+
+
+def _start_drift(w: np.ndarray) -> np.ndarray:
+    """Per point, the worst norm drift of the (points, n, columns) starts w.
+
+    With two columns or more numpy adds the sites in order, as it does
+    for one point's (n, columns) starts.
+    """
+    norms = w.real**2
+    norms += w.imag**2
+    return np.abs(np.sum(norms, axis=1) - 1.0).max(axis=1)
 
 
 def _block_edges(n_rows: int, total: int) -> list[tuple[int, int]]:
@@ -610,71 +630,125 @@ def _fold(rows: np.ndarray, w: np.ndarray):
         yield m0, rows @ w[:, m0:m1]
 
 
-def _table_starts(table: PeriodTable, point, initial, periods):
-    """Checked, drift-gated period starts (n, periods + 1) of one point.
-
-    Starts are formed for a group of points from ``point`` on, as many as
-    fit STARTS_BYTES, and the table keeps that one group: a scan that asks
-    for its points in order forms each point's starts once, in one
-    ``np.matmul`` per period for the whole group. Each point is gated only
-    when it is asked for.
-    """
+def _checked_point(table: PeriodTable, point, initial, periods) -> np.ndarray:
+    """``initial`` as checked amplitudes, after checking ``point`` and
+    ``periods`` against the table."""
     count, n = table.monodromies.shape[:2]
     require_int("point", point, 0)
     if point >= count:
         raise ValidationError(f"point must be < {count}, got {point}")
     require_int("periods", periods, 1)
-    initial = require_state("initial state", initial, n)
-    group = table._starts[0]
-    if (group is None or group[1] != periods
-            or not group[0] <= point < group[0] + len(group[3])
-            or not np.array_equal(group[2], initial)):
-        table._starts[0] = group = None  # freed before the next is formed
-        size = max(1, STARTS_BYTES // (16 * n * (periods + 1)))
-        w, drift = _period_starts(table.monodromies[point:point + size],
-                                  initial, periods)
-        group = (point, periods, np.array(initial), w, drift)
-        table._starts[0] = group
-    first, _, _, w, drift = group
-    j = point - first  # h = 0: a failure is timed at the horizon's end
-    return w[j], _norm_gate(drift[j:j + 1], periods * table.period, 0, 0.0,
-                            "across periods")
+    return require_state("initial state", initial, n)
 
 
-def _block_bounds(rows: np.ndarray, w: np.ndarray, edges,
-                  step_change: float) -> np.ndarray:
-    """A lower bound on the least |rows @ w|^2 of every block of ``edges``.
+def _drift_gate(table: PeriodTable, drift: np.ndarray, periods: int) -> float:
+    """``_norm_gate`` on a point's starts drift, of shape (1,); h = 0: a
+    failure is timed at the horizon's end."""
+    return _norm_gate(drift, periods * table.period, 0, 0.0, "across periods")
 
-    Every COARSE_STRIDE-th row and the last one are evaluated for every
-    column, through ``_fold``. Between two such samples k steps apart no
-    step's value is below (P_l + P_r) / 2 - k c / 2, c = ``step_change``:
-    it lies within j c of P_l and (k - j) c of P_r, j steps in, and the
-    larger of those two lower bounds is at least their mean. Each computed
-    value is within 2 n machine epsilons of the exact product's, so four
-    times that covers both sides.
+
+@dataclass(frozen=True)
+class _StartsGroup:
+    """What ``_group_pass`` keeps of points first, first + 1, ... of a table:
+    per point, the start U^m0 a0 of every fold block (m0, m1) of ``edges``,
+    a lower bound on each block's least population, and the starts' worst
+    norm drift over periods 0..periods."""
+
+    first: int
+    periods: int
+    initial: np.ndarray
+    edges: list[tuple[int, int]]
+    checkpoints: np.ndarray  # (points, blocks, n)
+    bounds: np.ndarray  # (points, blocks)
+    drift: np.ndarray  # (points,)
+
+
+def _group_pass(table: PeriodTable, first: int, initial: np.ndarray,
+                periods: int) -> _StartsGroup:
+    """The period starts of points first, first + 1, ... of ``table``, as
+    many as fit STARTS_BYTES, reduced to what their folds need.
+
+    The recurrence runs over the whole group a slab of periods at a time:
+    the slabs are the blocks ``_fold`` forms from the coarse rows, every
+    COARSE_STRIDE-th step of a period and the last one. From each slab's
+    starts it keeps, per point, the checkpoint of every fold block that
+    begins in it, the norm drift, and the block bounds. Between two coarse
+    samples k steps apart no step's value is below (P_l + P_r) / 2 - k c / 2,
+    c = the point's ``step_change``: it lies within j c of P_l and
+    (k - j) c of P_r, j steps in, and the larger of those two lower bounds
+    is at least their mean. Every k is COARSE_STRIDE but the last, which
+    may be less, so the widest k serves all. Each computed value is within
+    2 n machine epsilons of the exact product's, so four times that covers
+    both sides. A point holds n (blocks + slab) starts, not n (periods + 1).
     """
-    spp = len(rows) - 1
+    n = table.monodromies.shape[1]
+    spp = table.steps_per_period
     coarse = np.r_[0:spp:COARSE_STRIDE, spp]
-    slack = (0.5 * np.diff(coarse)[:, np.newaxis] * step_change
-             + 8 * rows.shape[1] * np.finfo(float).eps)
-    column_low = np.empty(w.shape[1])
-    for m0, amps in _fold(rows[coarse], w):
-        column_low[m0:m0 + amps.shape[1]] = _interval_low(amps, slack)
-    return np.minimum.reduceat(column_low, [m0 for m0, _ in edges])
+    edges = _block_edges(spp + 1, periods)
+    slabs = _block_edges(len(coarse), periods)
+    width = max(m1 - m0 for m0, m1 in slabs) + 1
+    size = max(1, STARTS_BYTES // (16 * n * (len(edges) + width)
+                                   + 8 * len(edges)))
+    u = table.monodromies[first:first + size]
+    block_first = np.array([m0 for m0, _ in edges])
+    checkpoints = np.empty((len(u), len(edges), n), dtype=complex)
+    bounds = np.full((len(u), len(edges)), np.inf)
+    drift = np.zeros(len(u))
+    gap = 0.5 * np.diff(coarse).max()
+    eps = 8 * n * np.finfo(float).eps
+    start = initial
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate reports
+        for s0, s1 in slabs:
+            w = _period_starts(u, start, s1 - s0 + 1)  # and the next start
+            start = w[:, :, -1].copy()
+            np.maximum(drift, _start_drift(w), out=drift)
+            # blocks k0..k1 - 1 begin in the slab, blocks i0..k1 - 1 meet it
+            k0, k1 = np.searchsorted(block_first, [s0, s1])
+            i0 = np.searchsorted(block_first, s0, "right") - 1
+            checkpoints[:, k0:k1] = w[:, :, block_first[k0:k1] - s0].swapaxes(
+                1, 2)
+            cuts = np.maximum(block_first[i0:k1], s0) - s0
+            for j, p in enumerate(range(first, first + len(u))):
+                rows = table.site_rows[coarse, p]
+                low = _interval_low(rows @ w[j, :, :s1 - s0],
+                                    gap * table.step_change[p] + eps)
+                part = bounds[j, i0:k1]
+                np.minimum(part, np.minimum.reduceat(low, cuts), out=part)
+            del w  # freed before the next slab is formed
+    return _StartsGroup(first, periods, np.array(initial), edges, checkpoints,
+                        bounds, drift)
 
 
-def _interval_low(amps: np.ndarray, slack: np.ndarray) -> np.ndarray:
+def _starts_group(table: PeriodTable, point, initial, periods) -> _StartsGroup:
+    """The group that holds ``point``, after checking the arguments.
+
+    The table keeps one group, so a scan that asks for its points in order
+    runs each point's starts once, in one ``np.matmul`` per period for the
+    whole group; any other query forms a new group from ``point`` on.
+    """
+    initial = _checked_point(table, point, initial, periods)
+    group = table._group[0]
+    if (group is None or group.periods != periods
+            or not group.first <= point < group.first + len(group.drift)
+            or not np.array_equal(group.initial, initial)):
+        table._group[0] = group = None  # freed before the next is formed
+        group = table._group[0] = _group_pass(table, point, initial, periods)
+    return group
+
+
+def _interval_low(amps: np.ndarray, slack: float) -> np.ndarray:
     """Per column of coarse samples, min of (P_l + P_r) / 2 - ``slack``.
 
-    Its temporaries, made in place, are gone before ``_fold`` forms the
-    next block, so the pruned fold peaks below the full fold.
+    x -> x / 2 - slack is monotone, so it is applied to each column's least
+    P_l + P_r: the same floats as applying it to every interval. A caller
+    that passes the product itself keeps no reference to it, so it is freed
+    once its populations are taken, and the pruned fold peaks below the
+    full fold.
     """
     pops = np.abs(amps)
+    del amps
     pops *= pops
-    low = pops[:-1] + pops[1:]
-    low *= 0.5
-    low -= slack
-    return low.min(axis=0)
+    return (pops[:-1] + pops[1:]).min(axis=0) * 0.5 - slack
 
 
 def folded_min_population(
@@ -687,22 +761,44 @@ def folded_min_population(
     every integrator step from t=0 through t = periods * T inclusive.
 
     Only the ``_fold`` blocks that can hold the minimum are formed: in
-    ascending order of their lower bound (``_block_bounds``), each exactly
-    as ``_fold`` forms it, until the next bound is at or above the running
-    minimum. So the result is the float the full fold gives.
+    ascending order of their lower bound (``_group_pass``), each exactly as
+    ``_fold`` forms it, from starts regenerated from the block's
+    checkpoint, until the next bound is at or above the running minimum.
+    So the result is the float the full fold gives.
     """
-    w, drift = _table_starts(table, point, initial, periods)
-    w = w[:, :periods]
+    group = _starts_group(table, point, initial, periods)
+    j = point - group.first
+    drift = _drift_gate(table, group.drift[j:j + 1], periods)
     rows = table.site_rows[:, point]
-    edges = _block_edges(len(rows), periods)
-    bounds = _block_bounds(rows, w, edges, table.step_change[point])
+    bounds = group.bounds[j]
     low = np.inf
-    for i in np.argsort(bounds, kind="stable"):
+    for i, w in _block_starts(table.monodromies[point], group.checkpoints[j],
+                              group.edges, np.argsort(bounds, kind="stable")):
         if bounds[i] >= low:
             break
-        m0, m1 = edges[i]
-        low = np.minimum(low, (np.abs(rows @ w[:, m0:m1]) ** 2).min())
+        # fl(x x) is monotone in x >= 0; a NumPy scalar's ** 2 is C pow
+        low = np.minimum(low, np.square(np.abs(rows @ w).min()))
     return float(low), max(drift, table.max_norm_deviation)
+
+
+def _block_starts(u: np.ndarray, checkpoints: np.ndarray, edges, order):
+    """Yield (i, starts of fold block i) for the blocks i of ``order``.
+
+    The starts are regenerated from the blocks' checkpoints 1, 2, 4, ...
+    blocks at a time, in one ``np.matmul`` per period over copies of the
+    one-period operator ``u``. A caller that stops early has regenerated at
+    most twice the blocks it looked at.
+    """
+    done = 0
+    while done < len(order):
+        batch = order[done:2 * done + 1]
+        width = max(edges[i][1] - edges[i][0] for i in batch)
+        w = _period_starts(np.broadcast_to(u, (len(batch),) + u.shape),
+                           checkpoints[batch], width)
+        for i, starts in zip(batch, w):
+            m0, m1 = edges[i]
+            yield i, starts[:, :m1 - m0]
+        done += len(batch)
 
 
 def check_stride(stride, steps_per_period: int) -> None:
@@ -725,7 +821,11 @@ def folded_population_series(
     """
     spp = table.steps_per_period
     check_stride(stride, spp)
-    w, _ = _table_starts(table, point, initial, periods)
+    initial = _checked_point(table, point, initial, periods)
+    w = _period_starts(table.monodromies[point:point + 1], initial,
+                       periods + 1)
+    _drift_gate(table, _start_drift(w), periods)
+    w = w[0]
     rows = table.site_rows[:, point]
     k = spp // stride  # samples per period
     series = np.empty(periods * k + 1)

@@ -24,6 +24,7 @@ from floquet_lattice import (
     scan_min_p1,
     scan_spectrum,
 )
+from floquet_lattice import experiments
 from floquet_lattice.experiments import write_manifest
 from floquet_lattice.floquet import OVERLAP_AMBIGUITY
 from floquet_lattice.propagator import (
@@ -31,7 +32,7 @@ from floquet_lattice.propagator import (
     folded_min_population,
     one_period_table,
 )
-from helpers import direct_propagate
+from helpers import _starts, direct_propagate
 
 
 def spec_n(n, **kw):
@@ -147,6 +148,37 @@ def test_scan_interrupted_carries_completed_points():
     table = one_period_table(spec, np.array([0.0]), 100, site=1)
     alone, _ = folded_min_population(table, 0, basis_state(2, 1).amplitudes, 2)
     assert err.value.completed[0] == alone
+
+
+def test_drift_gate_fails_at_its_own_point(monkeypatch):
+    # all 9 points are one group of period starts, whose drift is computed
+    # before any point is folded; point 4's one-period operator, scaled by
+    # 1 + 1e-7, drifts past the bound, and the scan still completes points
+    # 0..3 and fails at point 4 with the per-point gate's message
+    config = small_config(base_spec=spec_n(4), grid_points=9,
+                          horizon_periods=200)
+    build = experiments.one_period_table
+
+    def scaled(*args, **kwargs):
+        table = build(*args, **kwargs)
+        u = table.monodromies.copy()
+        u[4] *= 1 + 1e-7
+        return replace(table, monodromies=u)
+
+    clean = scan_min_p1(config)
+    monkeypatch.setattr(experiments, "one_period_table", scaled)
+    with pytest.raises(ScanInterrupted) as err:
+        scan_min_p1(config)
+    assert err.value.completed == {i: clean.min_p1[i] for i in range(4)}
+    spec = config.base_spec
+    table = scaled(spec, config.grid() * spec.omega, config.steps_per_period)
+    w = _starts(table, 4, basis_state(4, 1).amplitudes, 201)
+    drift = np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0))
+    assert str(err.value) == (
+        f"scan failed after 4 of 9 points: norm drift {drift:.3e} exceeds "
+        "1e-06 across periods; increase steps_per_period")
+    assert isinstance(err.value.__cause__, IntegrationFailure)
+    assert err.value.__cause__.time == 200 * spec.period
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

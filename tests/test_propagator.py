@@ -20,13 +20,14 @@ from floquet_lattice import (
 )
 from floquet_lattice.experiments import FIGURE_IDS, figure_scan_config
 from floquet_lattice.propagator import (
+    CHUNK_BYTES,
+    COARSE_STRIDE,
     STARTS_BYTES,
     _block_edges,
     _fold,
-    _period_starts,
+    _starts_group,
     _step_coefficients,
     _step_matrices,
-    _table_starts,
     basis_sweep,
     folded_min_population,
     folded_population_series,
@@ -415,6 +416,35 @@ def test_step_change_bounds_every_step_of_the_recipes(figure):
         assert low == pops.min()
 
 
+def _loop_drift(table, point, initial, periods):
+    """The worst norm drift of U^m a0, m = 0..periods, by one point's loop."""
+    w = _starts(table, point, initial, periods + 1)
+    return np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0))
+
+
+def _assert_group_serves(table, point, initial, periods):
+    """The group that serves ``point`` holds its per-point loop's starts at
+    every block edge, its drift, and valid bounds within ulps of one
+    product of the coarse rows with every start."""
+    group = _starts_group(table, point, initial, periods)
+    j = point - group.first
+    w = _starts(table, point, initial, periods)
+    assert group.edges == _block_edges(table.steps_per_period + 1, periods)
+    assert np.array_equal(group.checkpoints[j],
+                          w[:, [m0 for m0, _ in group.edges]].T)
+    assert group.drift[j] == _loop_drift(table, point, initial, periods)
+    pops = np.abs(table.site_rows[:, point] @ w) ** 2
+    spp = table.steps_per_period
+    coarse = np.r_[0:spp:COARSE_STRIDE, spp]
+    slack = (0.5 * np.diff(coarse)[:, np.newaxis] * table.step_change[point]
+             + 8 * table.monodromies.shape[1] * np.finfo(float).eps)
+    column = ((pops[coarse][:-1] + pops[coarse][1:]) / 2 - slack).min(axis=0)
+    for bound, (m0, m1) in zip(group.bounds[j], group.edges):
+        assert bound <= pops[:, m0:m1].min()
+        assert abs(bound - column[m0:m1].min()) < 1e-14
+    return group
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(
     n_sites=st.integers(3, 8),
@@ -422,34 +452,77 @@ def test_step_change_bounds_every_step_of_the_recipes(figure):
     periods=st.sampled_from([1, 9, 300, 2000]),
     order_seed=st.integers(0, 2**32 - 1),
 )
-@example(n_sites=8, points=3, periods=2000, order_seed=0)
+@example(n_sites=8, points=7, periods=2000, order_seed=0)
 @example(n_sites=3, points=1, periods=2000, order_seed=0)
 def test_batched_period_starts_equal_the_per_point_loop(n_sites, points,
                                                         periods, order_seed):
-    # at 2000 periods a group holds 2 points at n = 8 and 5 at n = 3, so
-    # tables of 3 and 7 points end in a group with fewer points
+    # at 400 steps and 2000 periods a group holds 4 points at n = 8 and 13
+    # at n = 3, so a table of 7 points at n = 8 ends in a group of 3
     spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=0.2, a1=10.0, a2=0.0,
                       omega=10.0)
     table = one_period_table(spec, np.linspace(0.0, 10.0, points), 400)
     a0 = basis_state(n_sites, 1).amplitudes
-    w, drift = _period_starts(table.monodromies, a0, periods)
-    size = max(1, STARTS_BYTES // (16 * n_sites * (periods + 1)))
+    size = len(_starts_group(table, 0, a0, periods).drift)
     for point in range(points):  # a scan's order: groups of size points
-        want = _starts(table, point, a0, periods + 1)
-        assert np.array_equal(w[point], want)
-        got, got_drift = _table_starts(table, point, a0, periods)
-        assert np.array_equal(got, want)
-        assert got_drift == drift[point]
+        group = _assert_group_serves(table, point, a0, periods)
         first = point // size * size
-        assert table._starts[0][0] == first
-        assert len(table._starts[0][3]) == min(size, points - first)
+        assert group.first == first
+        assert len(group.drift) == min(size, points - first)
     other = np.roll(a0, 1)
     for point in np.random.default_rng(order_seed).permutation(points):
-        # any order, and another initial state, is never served stale starts
+        # any order, and another initial state, is never served stale state
         for initial in (other, a0):
-            assert np.array_equal(
-                _table_starts(table, point, initial, periods)[0],
-                _starts(table, point, initial, periods + 1))
+            _assert_group_serves(table, int(point), initial, periods)
+
+
+# 1025 to 2047 steps make a fold block 8 periods wide, as the recipes'
+# 2000 do: 7 and 8 periods are one block, 9 one block with a lone last
+# column
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(3, 8),
+    points=st.integers(1, 7),
+    periods=st.sampled_from([1, 7, 8, 9, 300, 2000]),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+@example(n_sites=8, points=7, periods=2000, order_seed=0)
+@example(n_sites=3, points=2, periods=9, order_seed=1)
+def test_grouped_min_population_equals_one_product_fold(n_sites, points,
+                                                        periods, order_seed):
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=0.2, a1=10.0, a2=0.0,
+                      omega=10.0)
+    table = one_period_table(spec, np.linspace(0.0, 10.0, points), 1025)
+    assert _block_edges(1026, 9) == [(0, 9)]
+    a0 = basis_state(n_sites, 1).amplitudes
+    for point in np.random.default_rng(order_seed).permutation(points):
+        low, dev = folded_min_population(table, int(point), a0, periods)
+        assert low == one_product_min_population(table, point, a0, periods)
+        assert dev == max(_loop_drift(table, point, a0, periods),
+                          table.max_norm_deviation)
+
+
+def test_min_p1_group_stays_within_starts_bytes():
+    # a group of this table holds 12 points, whose full starts would take
+    # 12 x 6 x 2001 complex values, 2.3 MB. A group keeps less than
+    # STARTS_BYTES; beside it lives at most one product of about
+    # CHUNK_BYTES (the coarse rows' or a formed block's) with its
+    # populations, half that. The table's rows have a mapping of their
+    # own, which tracemalloc does not see.
+    import tracemalloc
+
+    spec = SystemSpec(n_sites=6, omega0=1.0, nu0=0.0, a1=22.0, a2=0.0,
+                      omega=10.0)
+    table = one_period_table(spec, np.linspace(0.0, 60.0, 24), 2000)
+    a0 = basis_state(6, 1).amplitudes
+    tracemalloc.start()
+    try:
+        for point in range(24):
+            folded_min_population(table, point, a0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table._group[0].drift) == 12
+    assert peak < STARTS_BYTES + 2 * CHUNK_BYTES
 
 
 def _small_table():
