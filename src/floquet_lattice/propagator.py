@@ -27,6 +27,23 @@ and the coefficient blocks depend on n and the step count alone. That is
 what makes worker-count invariance exact when ``map_chunks``, the one
 thread pool, splits a scan's grid points into chunks.
 
+Horner's rule runs only on the trailing corner where a2 enters. With
+A = M + c (P + a2 Q) and Q the one entry at site N, every term of C_k1..C_k4
+holds a Q and at most three factors M, so those coefficients vanish outside
+the sites within three hops of N (six with nu0 != 0). ``_corner`` reads the
+corner [k:, k:] off each coefficient block's own zeros: 4 x 4 at N = 8,
+7 x 7 at N = 8 with nu0 = 0.2, 4 of 5 sites at fig7 and 4 of 6 at fig8, the
+whole matrix at fig2..fig6 (k = 0, where the rule writes straight into the
+step matrices as before). Elsewhere c1..c4 are +-0 and C_k0 = I + ... has
+no -0 (the identity's +0 absorbs it), so ((((c4 x + c3) x + c2) x + c1) x
++ c0 returns c0 for any finite x, and every point's R_k there is C_k0,
+copied: every operator keeps the float of Horner's rule over the whole
+matrix. The rule runs on a contiguous copy of the corner's coefficients,
+in a scratch allocated once per sweep from the same budget. On a 61-point
+spectrum scan (one BLAS thread) that cut Horner's rule from about 0.20 to
+0.11 s at N = 8, and the scan from 0.46-0.47 to 0.39 s; at N = 24 from
+3.6-3.8 to 2.4-2.5 s.
+
 ``basis_sweep`` starts the sweep from the site basis and returns the
 one-period operators U(T, 0); ``monodromy``, branch tracking and, through
 ``_row_table``, ``one_period_table`` and ``propagate`` (and through it
@@ -246,22 +263,55 @@ def _step_coefficients(spec: SystemSpec, h: float, t: np.ndarray,
     return acc
 
 
-def _step_matrices(coef: np.ndarray, a2: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+def _corner(coef: np.ndarray) -> int:
+    """The smallest k such that coef[1:] is exactly zero outside [k:, k:]:
+    the trailing corner of the step matrices where a2 enters.
+
+    Row k and column k are read in turn from k = 0, so the whole-matrix
+    corner of a short chain costs two small reductions.
+    """
+    n = coef.shape[-1]
+    for k in range(n):
+        if coef[1:, :, k, k:].any() or coef[1:, :, k:, k].any():
+            return k
+    return n
+
+
+def _step_matrices(coef: np.ndarray, a2: np.ndarray, out: np.ndarray,
+                   corner: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """sum_j a2^j coef[j] for every step of ``coef`` and every a2, into
     ``out`` (L, points, n, n).
 
     Horner's rule on the real and imaginary parts: the same elementwise
-    operations for every point, whatever the batch size.
+    operations for every point, whatever the batch size. ``corner`` is
+    coef[:, :, k:, k:], contiguous, with coef[1:] exactly zero outside it
+    (``_corner``); by default k = 0. The rule runs on the corner only, in
+    ``scratch``, a flat complex buffer of at least L points (n - k)^2
+    entries, or straight into ``out`` when k = 0. Elsewhere every point's
+    matrix is coef[0], copied: the rule's float there, since c1..c4 are +-0
+    and coef[0] has no -0.
     """
-    cf = coef.view(np.float64)[:, :, np.newaxis]
-    rf = out.view(np.float64)
+    if corner is None:
+        corner = coef
+    k, m = coef.shape[-1] - corner.shape[-1], corner.shape[-1]
+    target = out
+    if k:
+        c0 = coef[0, :, np.newaxis]
+        out[..., :k, :] = c0[..., :k, :]
+        out[..., k:, :k] = c0[..., k:, :k]
+        target = scratch[:math.prod(out.shape[:2]) * m * m].reshape(
+            out.shape[:2] + (m, m))
+    cf = corner.view(np.float64)[:, :, np.newaxis]
+    rf = target.view(np.float64)
     x = a2.reshape(1, -1, 1, 1)
     np.multiply(cf[4], x, out=rf)
     for j in (3, 2, 1):
         rf += cf[j]
         rf *= x
     rf += cf[0]
+    if k:
+        out[..., k:, k:] = target
     return out
 
 
@@ -296,6 +346,7 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     block = max(1, min(coef_steps,
                        CHUNK_BYTES // (16 * max(p, 1) * n * max(n, k))))
     rbuf = np.empty((block, p, n, n), dtype=complex)
+    scratch = np.empty(0, dtype=complex)  # the corner's, once one is needed
     states = np.empty((block, p, k, n), dtype=complex)
     max_dev = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -303,10 +354,19 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
             c1 = min(c0 + coef_steps, steps_per_period)
             coef = _step_coefficients(spec, h, t0 + np.arange(c0, c1) * h,
                                       work)
+            edge = _corner(coef)
+            corner = coef[:, :, edge:, edge:]
+            if edge:  # work[1] is free once the coefficients are built
+                corner = work[1, :corner.size].reshape(corner.shape)
+                corner[...] = coef[:, :, edge:, edge:]
+                if scratch.size < block * p * (n - edge) ** 2:
+                    scratch = np.empty(block * p * (n - edge) ** 2,
+                                       dtype=complex)
             for s0 in range(c0, c1, block):
                 count = min(block, c1 - s0)
-                r = _step_matrices(coef[:, s0 - c0:s0 - c0 + count], a2,
-                                   rbuf[:count])
+                steps = slice(s0 - c0, s0 - c0 + count)
+                r = _step_matrices(coef[:, steps], a2, rbuf[:count],
+                                   corner[:, steps], scratch)
                 y = states[:count]
                 prev = cur
                 for i in range(count):
@@ -384,6 +444,15 @@ def map_chunks(fn, n_items: int, workers: int) -> list:
     result does not depend on its batch, so results do not depend on
     ``workers``. A single chunk runs in the calling thread, so Ctrl-C stops
     it.
+
+    Two threads gain little, because they overlap only inside NumPy calls
+    long enough to outlast the lock's hand-offs. On 2 vCPUs with one BLAS
+    thread a thread pair ran 0.95-1.12x as fast as one thread on 35 us
+    calls, 1.63-1.77x on 0.8 ms calls and about 2x on 5 ms calls. The
+    sweep's and the fold's calls are tens of microseconds: a stacked
+    120-point 4 x 4 ``np.matmul`` (about 70 us) ran slower on two threads
+    than on one, while two processes each ran half of fig4's fold at one
+    thread's speed.
     """
     chunks = np.array_split(np.arange(n_items), max(1, min(workers, n_items)))
     if len(chunks) == 1:
@@ -832,7 +901,8 @@ def folded_population_series(
     for m0, amps in _fold(rows[:-1:stride], w[:, :periods]):
         series[m0 * k:(m0 + amps.shape[1]) * k] = (
             np.abs(amps) ** 2).ravel(order="F")
-    series[-1] = np.abs(rows[-1] @ w[:, periods - 1]) ** 2  # t = periods * T
+    # t = periods * T; a NumPy scalar's ** 2 is C pow, the array's x x
+    series[-1] = np.square(np.abs(rows[-1] @ w[:, periods - 1]))
     times = np.arange(series.size) * (table.period / spp * stride)
     times[-1] = periods * table.period
     return times, series

@@ -6,9 +6,11 @@ static-spectrum oracle is a dense Hermitian eigensolve of the undriven
 coupling matrix, the averaged-Hamiltonian oracle is the same eigensolve
 with every coupling renormalized by the quadrature J_0, and the propagation
 oracle is a direct RK4 step loop over row states, H(t) applied by slice
-arithmetic at every step of the horizon. The period-fold oracle evaluates
-a whole horizon as one product of a period's site rows with every period
-start. The branch-matching oracle scores every one of the n! permutations.
+arithmetic at every step of the horizon. The step-matrix oracle runs
+Horner's rule over every entry of the step matrices. The period-fold
+oracle evaluates a whole horizon as one product of a period's site rows
+with every period start. The branch-matching oracle scores every one of
+the n! permutations.
 """
 
 import itertools
@@ -210,6 +212,22 @@ def direct_propagate(spec, initial, t_final, steps_per_period, stride=1):
     )
 
 
+def whole_matrix_step_matrices(coef, a2, out, *_):
+    """``propagator._step_matrices``' R = sum_j a2^j coef[j] by Horner's rule
+    over all n^2 entries of every step matrix, into ``out`` (L, points, n,
+    n). It takes the kernel's arguments and ignores its corner and scratch,
+    so it can stand in for the kernel inside a sweep."""
+    cf = coef.view(np.float64)[:, :, np.newaxis]
+    rf = out.view(np.float64)
+    x = np.asarray(a2).reshape(1, -1, 1, 1)
+    np.multiply(cf[4], x, out=rf)
+    for j in (3, 2, 1):
+        rf += cf[j]
+        rf *= x
+    rf += cf[0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # One-product period fold
 
@@ -240,7 +258,7 @@ def one_product_population_series(table, point, initial, periods, stride):
     w = _starts(table, point, initial, periods)
     rows = table.site_rows[::stride, point, :]
     series = (np.abs(rows[:-1] @ w) ** 2).flatten(order="F")
-    final = np.abs(table.site_rows[-1, point, :] @ w[:, -1]) ** 2
+    final = np.square(np.abs(table.site_rows[-1, point, :] @ w[:, -1]))
     times = np.arange(series.size + 1) * (table.period / spp * stride)
     times[-1] = periods * table.period
     return times, np.append(series, final)

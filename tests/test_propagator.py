@@ -18,12 +18,15 @@ from floquet_lattice import (
     propagation_norm_drift,
     site_population_series,
 )
+from floquet_lattice import propagator
 from floquet_lattice.experiments import FIGURE_IDS, figure_scan_config
 from floquet_lattice.propagator import (
     CHUNK_BYTES,
     COARSE_STRIDE,
     STARTS_BYTES,
+    PeriodTable,
     _block_edges,
+    _corner,
     _fold,
     _starts_group,
     _step_coefficients,
@@ -42,6 +45,7 @@ from helpers import (
     direct_propagate,
     one_product_min_population,
     one_product_population_series,
+    whole_matrix_step_matrices,
 )
 
 
@@ -268,6 +272,24 @@ def test_folded_series_matches_direct():
     _, p_direct = site_population_series(direct, 1)
     assert times.size == p_direct.size
     assert np.max(np.abs(series - p_direct)) < 1e-9
+
+
+def test_folded_series_squares_its_last_sample_as_the_others():
+    # a NumPy scalar's x ** 2 is C pow, which (glibc) rounds this x's
+    # square to 0.18209093450644506, one ulp above x * x
+    x = 0.42672114373024106
+    spp = 4
+    rows = np.zeros((spp + 1, 1, 2), dtype=complex)
+    rows[:, 0, 0] = x
+    table = PeriodTable(monodromies=np.eye(2, dtype=complex)[np.newaxis],
+                        site_rows=rows, steps_per_period=spp, period=1.0,
+                        max_norm_deviation=0.0, step_change=np.zeros(1))
+    a0 = np.array([1.0, 0.0])
+    times, series = folded_population_series(table, 0, a0, 3)
+    assert series.size == 3 * spp + 1 and times[-1] == 3.0
+    assert np.all(series == x * x)
+    _, want = one_product_population_series(table, 0, a0, 3, 1)
+    assert np.array_equal(series, want)
 
 
 # at 2000 steps a block is 8 periods of the 2001 site rows, 8 periods of
@@ -679,8 +701,82 @@ def test_step_matrix_is_one_rk4_step():
         assert np.max(np.abs(r[k, 0] - y)) < 1e-15
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n_sites=st.integers(2, 10),
+    nu0=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True)),
+    a1=st.floats(-60.0, 60.0),
+    a2=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_sites=8, nu0=0.0, a1=22.0, a2=[-30.0, 0.0, 57.5], seed=0)
+@example(n_sites=8, nu0=0.2, a1=-22.0, a2=[-1.5, 24.0], seed=1)
+def test_step_matrices_equal_whole_matrix_horner(n_sites, nu0, a1, a2, seed):
+    # Horner's rule on the corner alone, the rest copied from C_0, gives
+    # every entry's float of Horner's rule over the whole matrix
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=a1, a2=0.0,
+                      omega=10.0)
+    h = spec.period / 2000
+    t = np.random.default_rng(seed).uniform(0.0, 4.0 * spec.period, size=6)
+    coef = _step_coefficients(spec, h, t)
+    k = _corner(coef)
+    a2 = np.array(a2)
+    shape = (t.size, a2.size, n_sites, n_sites)
+    scratch = np.empty(t.size * a2.size * (n_sites - k) ** 2, dtype=complex)
+    got = _step_matrices(coef, a2, np.empty(shape, dtype=complex),
+                         np.ascontiguousarray(coef[:, :, k:, k:]), scratch)
+    want = whole_matrix_step_matrices(coef, a2, np.empty(shape, dtype=complex))
+    assert np.array_equal(got, want)
+
+
+# a2 drives site N and the coefficients of a2^1..a2^4 hold at most three
+# hops of the chain: sites within three of N, or six with nu0 != 0
+@pytest.mark.parametrize("figure, n_sites, nu0, corner", [
+    ("fig4", 8, 0.0, 4), ("fig4", 8, 0.2, 1), ("fig4", 12, 0.0, 8),
+    ("fig2", None, None, 0), ("fig3", None, None, 0),
+    ("fig4", None, None, 0), ("fig5", None, None, 0),
+    ("fig6", None, None, 0), ("fig7", None, None, 1),
+    ("fig8", None, None, 2),
+])
+def test_sweep_corner(figure, n_sites, nu0, corner, monkeypatch):
+    config = figure_scan_config(figure)
+    spec = config.base_spec
+    if n_sites is not None:
+        spec = spec.replace(n_sites=n_sites, nu0=nu0)
+    seen = []
+
+    def recording(coef):
+        seen.append(_corner(coef))
+        return seen[-1]
+
+    monkeypatch.setattr(propagator, "_corner", recording)
+    basis_sweep(spec, [0.0, 2.4 * spec.omega], config.steps_per_period)
+    assert len(seen) > 1 and set(seen) == {corner}
+
+
+@pytest.mark.parametrize("n_sites, nu0", [(5, 0.0), (5, 0.2), (6, 0.0),
+                                          (6, 0.2), (8, 0.0), (8, 0.2)])
+def test_sweeps_equal_whole_matrix_horner(n_sites, nu0, monkeypatch):
+    spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=22.0, a2=0.0,
+                      omega=10.0)
+    a2 = [-30.0, -2.5, 0.0, 24.0, 57.5]
+
+    def sweeps():
+        u, dev = basis_sweep(spec, a2, 1000)
+        vecs = np.linalg.qr(u)[0].transpose(0, 2, 1).copy()
+        return u, dev, period_average(spec, a2, vecs, 1000)
+
+    u, dev, pops = sweeps()
+    monkeypatch.setattr(propagator, "_step_matrices",
+                        whole_matrix_step_matrices)
+    ref_u, ref_dev, ref_pops = sweeps()
+    assert u.tobytes() == ref_u.tobytes()
+    assert dev == ref_dev
+    assert pops.tobytes() == ref_pops.tobytes()
+
+
 @pytest.mark.parametrize("n_sites, nu0", [(3, 0.0), (4, 0.2), (6, 0.0),
-                                          (8, 0.0)])
+                                          (8, 0.0), (8, 0.2), (12, 0.0)])
 def test_basis_sweep_matches_direct_loop(n_sites, nu0):
     spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=nu0, a1=22.0, a2=0.0,
                       omega=10.0)
