@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .effective import (
     EffectiveParams,
-    RotatingTrajectory,
     analytic_p1,
     effective_params,
-    effective_propagate,
 )
 from .errors import (
     IntegrationFailure,
@@ -38,7 +36,6 @@ from .floquet import (
     ClosestApproach,
     FloquetMode,
     MonodromyOperator,
-    averaged_populations,
     classify_closest_approach,
     floquet_modes,
     fold_quasienergy,
@@ -46,38 +43,28 @@ from .floquet import (
     track_branches,
 )
 from .model import (
-    HamiltonianMatrix,
     SystemSpec,
-    hamiltonian_at,
     spec_from_json,
-    spec_to_json,
     static_hamiltonian,
-    validate,
 )
 from .propagator import (
     StateVector,
     Trajectory,
     basis_state,
-    min_population,
     propagate,
-    propagation_norm_drift,
-    site_population_series,
 )
-from .specfun import BesselEval, bessel_eval, bessel_j, j0_zero
+from .specfun import bessel_j, j0_zero
 
 __all__ = [
     "__version__",
-    "BesselEval",
     "Branch",
     "BranchSet",
     "ClosestApproach",
     "EffectiveParams",
     "FloquetMode",
-    "HamiltonianMatrix",
     "IntegrationFailure",
     "MonodromyOperator",
     "NumericsError",
-    "RotatingTrajectory",
     "ScanConfig",
     "ScanInterrupted",
     "ScanResult",
@@ -86,31 +73,22 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "analytic_p1",
-    "averaged_populations",
     "basis_state",
-    "bessel_eval",
     "bessel_j",
     "classify_closest_approach",
     "effective_params",
-    "effective_propagate",
     "figure_config",
     "figure_scan_config",
     "floquet_modes",
     "fold_quasienergy",
-    "hamiltonian_at",
     "j0_zero",
     "landmark_zeros",
-    "min_population",
     "monodromy",
     "propagate",
-    "propagation_norm_drift",
     "reproduce",
     "scan_min_p1",
     "scan_spectrum",
-    "site_population_series",
     "spec_from_json",
-    "spec_to_json",
     "static_hamiltonian",
     "track_branches",
-    "validate",
 ]

@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .floquet import floquet_modes, monodromy
 from .model import SystemSpec, apply_spec_overrides, spec_from_json
-from .propagator import basis_state, propagate
+from .propagator import DEFAULT_STEPS_PER_PERIOD, basis_state, propagate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,7 +47,8 @@ def _add_common(p: argparse.ArgumentParser, scan: bool = False) -> None:
                    help="output directory (default: out)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a spec field")
-    p.add_argument("--steps-per-period", type=int, default=2000)
+    p.add_argument("--steps-per-period", type=int,
+                   default=DEFAULT_STEPS_PER_PERIOD)
     if scan:
         p.add_argument("--grid", default="0:6:241", metavar="START:STOP:POINTS",
                        help="a2/omega grid (default: 0:6:241)")

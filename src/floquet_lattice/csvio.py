@@ -73,12 +73,12 @@ def _write_floats(path, header: str, columns,
                    [(col, 1) for col in columns], comment)
 
 
-def write_trajectory(path, times, amplitudes, comment: str | None = None) -> None:
+def write_trajectory(path, times, amplitudes) -> None:
     """Trajectory CSV: header t,re_a1,im_a1,...,re_aN,im_aN, one row per sample."""
     n = amplitudes.shape[1]
     header = "t," + ",".join(f"re_a{j},im_a{j}" for j in range(1, n + 1))
     re_im = np.ascontiguousarray(amplitudes, dtype=complex).view(float)
-    _write_floats(path, header, [times, *re_im.T], comment)
+    _write_floats(path, header, [times, *re_im.T])
 
 
 def write_population_series(path, times, values, comment: str | None = None) -> None:

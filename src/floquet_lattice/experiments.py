@@ -33,6 +33,7 @@ from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
     basis_state,
+    check_step_count,
     check_stride,
     folded_min_population,
     folded_population_series,
@@ -74,6 +75,7 @@ class ScanConfig:
             require_int(name, value, minimum)
             # numpy integers pass the check; stored as int they serialise
             object.__setattr__(self, name, int(value))
+        check_step_count(self.horizon_periods * self.steps_per_period)
         require_site("initial_site", self.initial_site, self.base_spec.n_sites)
         object.__setattr__(self, "initial_site", int(self.initial_site))
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericsError, ValidationError
-from .model import SystemSpec, require_state
+from .model import SystemSpec
 from .propagator import (DEFAULT_STEPS_PER_PERIOD, basis_sweep, map_chunks,
                          period_average)
 
@@ -141,24 +141,6 @@ def floquet_modes(op: MonodromyOperator) -> list[FloquetMode]:
         )
         for k in range(eps.size)
     ]
-
-
-def averaged_populations(
-    spec: SystemSpec,
-    mode,
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-) -> np.ndarray:
-    """One-period time average of the site populations along a mode.
-
-    ``mode`` may be a FloquetMode or a unit-norm complex vector. The result
-    sums to 1 up to integration rounding.
-    """
-    if isinstance(mode, FloquetMode):
-        mode = mode.vector
-    vector = require_state("mode vector", mode, spec.n_sites)
-    return period_average(
-        spec, [spec.a2], vector[np.newaxis, np.newaxis, :], steps_per_period
-    )[0, 0]
 
 
 # ---------------------------------------------------------------------------

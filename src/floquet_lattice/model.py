@@ -1,4 +1,4 @@
-"""System description and instantaneous Hamiltonian assembly.
+"""System description, input checks and the static coupling matrix.
 
 The model is an open chain of N sites with nearest-neighbor coupling
 omega0, next-nearest-neighbor coupling nu0, and harmonically driven on-site
@@ -47,7 +47,7 @@ class SystemSpec:
     omega: float
 
     def __post_init__(self):
-        validate(self)
+        _validate(self)
 
     @property
     def period(self) -> float:
@@ -88,7 +88,7 @@ class SystemSpec:
         )
 
 
-def validate(spec: SystemSpec) -> None:
+def _validate(spec: SystemSpec) -> None:
     """Raise ValidationError unless every field constraint holds."""
     if not isinstance(spec.n_sites, int) or isinstance(spec.n_sites, bool):
         raise ValidationError(f"n_sites must be an integer, got {spec.n_sites!r}")
@@ -168,18 +168,6 @@ def apply_spec_overrides(spec: SystemSpec, overrides: dict[str, str]):
     return spec.replace(**changes), rest
 
 
-def spec_to_json(spec: SystemSpec) -> str:
-    return json.dumps(spec.to_json_dict(), indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense Hermitian H(t) snapshot; entries are real in this model."""
-
-    entries: np.ndarray
-    time_tag: float
-
-
 def static_hamiltonian(spec: SystemSpec) -> np.ndarray:
     """Time-independent coupling part of H (drive terms excluded)."""
     n = spec.n_sites
@@ -190,16 +178,3 @@ def static_hamiltonian(spec: SystemSpec) -> np.ndarray:
         h[j, j + 2] = h[j + 2, j] = spec.nu0
     return h
 
-
-def hamiltonian_at(spec: SystemSpec, t: float) -> HamiltonianMatrix:
-    """Instantaneous Hamiltonian H(t).
-
-    Diagonal: a1 cos(omega t) at site 1 and a2 cos(omega t) at site N, zero
-    elsewhere. Off-diagonal: omega0 one step off the diagonal, nu0 two steps
-    off, nothing beyond.
-    """
-    h = static_hamiltonian(spec).astype(complex)
-    c = math.cos(spec.omega * t)
-    h[0, 0] = spec.a1 * c
-    h[-1, -1] = spec.a2 * c
-    return HamiltonianMatrix(entries=h, time_tag=t)

@@ -46,11 +46,10 @@ spectrum scan (one BLAS thread) that cut Horner's rule from about 0.20 to
 
 ``basis_sweep`` starts the sweep from the site basis and returns the
 one-period operators U(T, 0); ``monodromy``, branch tracking and, through
-``_row_table``, ``one_period_table`` and ``propagate`` (and through it
-``propagation_norm_drift``) call it. ``period_average`` starts it from mode vectors. The
-direct step loop, row states advanced by slice arithmetic, lives in the
-tests as the independent reference the kernel and every folded path are
-checked against.
+``_row_table``, ``one_period_table`` and ``propagate`` call it.
+``period_average`` starts it from mode vectors. The direct step loop, row
+states advanced by slice arithmetic, lives in the tests as the independent
+reference the kernel and every folded path are checked against.
 
 Min(P1) skips the fold blocks that cannot hold the minimum, and stays
 exact. The drive is diagonal, so it drops out of dP/dt for the observed
@@ -143,10 +142,6 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 2:
             raise ValidationError("state must be a vector of >= 2 amplitudes")
 
-    @property
-    def n_sites(self) -> int:
-        return self.amplitudes.size
-
 
 def basis_state(n_sites: int, site: int) -> StateVector:
     """Unit amplitude on one site (1-based index), zero elsewhere."""
@@ -173,10 +168,6 @@ class Trajectory:
     stride: int
     min_populations: np.ndarray
     max_norm_deviation: float
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
 
 
 def _step_size(spec: SystemSpec, steps_per_period) -> float:
@@ -477,6 +468,8 @@ def propagate(
     The horizon is rounded to the nearest whole step h = T/steps_per_period.
     With ``stride`` > 1 only every stride-th sample is stored (it must divide
     the total step count); minima and the norm check still see every step.
+    A horizon that is not finite, or whose step count does not fit np.intp,
+    is a ValidationError.
 
     One basis sweep over the period from ``initial.time`` gives the table
     V(tau_s), and the state at step m * steps_per_period + s is
@@ -491,11 +484,14 @@ def propagate(
     where this state alone would pass.
     """
     a0 = require_state("initial state", initial.amplitudes, spec.n_sites)
-    if t_final <= initial.time:
-        raise ValidationError("t_final must exceed the initial time")
     h = _step_size(spec, steps_per_period)
     require_int("stride", stride, 1)
-    nsteps = max(1, int(round((t_final - initial.time) / h)))
+    steps = (t_final - initial.time) / h
+    if not 0.0 < steps < math.inf:  # NaN fails too
+        raise ValidationError(f"t_final {t_final!r} is not a finite time "
+                              f"after the initial time {initial.time!r}")
+    nsteps = max(1, int(round(steps)))
+    check_step_count(nsteps)
     if nsteps % stride != 0:
         raise ValidationError(
             f"stride {stride} must divide the total step count {nsteps}"
@@ -534,20 +530,6 @@ def propagate(
         min_populations=min_pops,
         max_norm_deviation=max_dev,
     )
-
-
-def min_population(traj: Trajectory, site: int) -> float:
-    """Minimum of |a_site|^2 over every integrator step of the run."""
-    if traj.times.size == 0:
-        raise ValidationError("trajectory is empty")
-    j = require_site("site", site, traj.spec.n_sites)
-    return float(traj.min_populations[j])
-
-
-def site_population_series(traj: Trajectory, site: int):
-    """(times, |a_site|^2) arrays over the stored samples."""
-    j = require_site("site", site, traj.spec.n_sites)
-    return traj.times, np.abs(traj.amplitudes[:, j]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -870,6 +852,14 @@ def _block_starts(u: np.ndarray, checkpoints: np.ndarray, edges, order):
         done += len(batch)
 
 
+def check_step_count(steps: int) -> None:
+    """ValidationError unless ``steps`` integrator steps fit np.intp."""
+    if steps > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"a horizon of {steps} steps is too long: at most "
+            f"{np.iinfo(np.intp).max} steps can be indexed")
+
+
 def check_stride(stride, steps_per_period: int) -> None:
     """ValidationError unless ``stride`` is an integer >= 1 that divides
     ``steps_per_period``, as a folded series' stride must."""
@@ -907,19 +897,3 @@ def folded_population_series(
     times[-1] = periods * table.period
     return times, series
 
-
-def propagation_norm_drift(
-    spec: SystemSpec,
-    periods: int,
-    steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
-    initial_site: int = 1,
-) -> float:
-    """Max |norm^2 - 1| over every integrator step of a ``periods``-long run
-    from ``initial_site``: ``propagate``'s report, storing only the ends.
-
-    Like ``propagate``, it raises IntegrationFailure once the drift passes
-    NORM_FAILURE_BOUND.
-    """
-    return propagate(spec, basis_state(spec.n_sites, initial_site),
-                     periods * spec.period, steps_per_period,
-                     stride=periods * steps_per_period).max_norm_deviation

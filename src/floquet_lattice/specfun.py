@@ -12,7 +12,6 @@ rescaled drive amplitude this package scans (A/omega <= 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -24,18 +23,8 @@ MAX_ARGUMENT = 60.0
 # enough. Both sides are good to ~1e-12 absolute at the boundary.
 _SERIES_CUTOFF = 14.0
 
-# Error bound reported for admissible inputs; measured headroom is ~100x.
+# Absolute error bound of bessel_j on its domain; measured headroom is ~100x.
 ABS_ERROR_BOUND = 1e-10
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One evaluation of J_k(x) together with its guaranteed error bound."""
-
-    order: int
-    argument: float
-    value: float
-    abs_error_bound: float
 
 
 def _check_domain(k: int, x: float) -> None:
@@ -107,12 +96,6 @@ def bessel_j(k: int, x: float) -> float:
     for order in range(1, k):
         j_prev, j_cur = j_cur, (2.0 * order / ax) * j_cur - j_prev
     return sign * j_cur
-
-
-def bessel_eval(k: int, x: float) -> BesselEval:
-    """Like :func:`bessel_j` but bundles the evaluation with its error bound."""
-    return BesselEval(order=k, argument=x, value=bessel_j(k, x),
-                      abs_error_bound=ABS_ERROR_BOUND)
 
 
 MAX_ZERO_INDEX = 5

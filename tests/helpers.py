@@ -6,11 +6,13 @@ static-spectrum oracle is a dense Hermitian eigensolve of the undriven
 coupling matrix, the averaged-Hamiltonian oracle is the same eigensolve
 with every coupling renormalized by the quadrature J_0, and the propagation
 oracle is a direct RK4 step loop over row states, H(t) applied by slice
-arithmetic at every step of the horizon. The step-matrix oracle runs
-Horner's rule over every entry of the step matrices. The period-fold
-oracle evaluates a whole horizon as one product of a period's site rows
-with every period start. The branch-matching oracle scores every one of
-the n! permutations.
+arithmetic at every step of the horizon. The Hamiltonian reference
+assembles H(t) as one dense matrix (from the package's coupling matrix),
+which the step loop's slice arithmetic is checked against. The step-matrix
+oracle runs Horner's rule over every entry of the step matrices. The
+period-fold oracle evaluates a whole horizon as one product of a period's
+site rows with every period start. The branch-matching oracle scores every
+one of the n! permutations.
 """
 
 import itertools
@@ -18,7 +20,8 @@ import math
 
 import numpy as np
 
-from floquet_lattice import IntegrationFailure, SystemSpec, Trajectory
+from floquet_lattice import (IntegrationFailure, SystemSpec, Trajectory,
+                             static_hamiltonian)
 from floquet_lattice.floquet import OVERLAP_AMBIGUITY
 from floquet_lattice.propagator import NORM_FAILURE_BOUND
 
@@ -100,6 +103,20 @@ def circular_match(eps_a, eps_b, omega: float) -> float:
     b = np.sort(np.asarray(eps_b, dtype=float))
     d = np.abs(a - b) % omega
     return float(np.max(np.minimum(d, omega - d)))
+
+
+def hamiltonian_at(spec: SystemSpec, t: float) -> np.ndarray:
+    """Dense instantaneous Hamiltonian H(t), assembled as a matrix.
+
+    Diagonal: a1 cos(omega t) at site 1 and a2 cos(omega t) at site N, zero
+    elsewhere. Off-diagonal: the package's ``static_hamiltonian``, omega0
+    one step off the diagonal, nu0 two steps off, nothing beyond.
+    """
+    h = static_hamiltonian(spec).astype(complex)
+    c = math.cos(spec.omega * t)
+    h[0, 0] = spec.a1 * c
+    h[-1, -1] = spec.a2 * c
+    return h
 
 
 # ---------------------------------------------------------------------------

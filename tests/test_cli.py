@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +281,26 @@ def test_propagate_rejects_bad_flags(tmp_path, spec_file, capsys, flags,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("periods", ["nan", "inf", str(10**21)])
+@pytest.mark.parametrize("command", [
+    ["propagate", "--periods"],
+    ["scan-minp1", "--grid", "0:1:3", "--periods"],
+    ["reproduce", "fig2", "--set"],
+], ids=["propagate", "scan-minp1", "reproduce"])
+def test_horizons_that_cannot_be_stepped_exit_1(tmp_path, spec_file, capsys,
+                                                 command, periods):
+    value = f"horizon_periods={periods}" if command[0] == "reproduce" \
+        else periods
+    config = [] if command[0] == "reproduce" else ["--config", str(spec_file)]
+    out = tmp_path / "x"
+    assert main(command + [value, *config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    if periods == str(10**21):
+        assert err.startswith("error:") and "too long" in err
+    assert not out.exists()
+
+
 def test_bad_grid_number(tmp_path, spec_file, capsys):
     assert main(["scan-minp1", "--config", str(spec_file),
                  "--grid", "0:six:3", "--out", str(tmp_path / "x")]) == 1
@@ -379,3 +401,15 @@ def test_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_every_export_is_documented_in_the_readme_library_section():
+    import floquet_lattice
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in floquet_lattice.__all__
+               if name != "__version__"
+               and not re.search(rf"\b{name}\b", library)]
+    assert missing == []

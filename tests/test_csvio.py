@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floquet_lattice import Branch, FloquetMode, SystemSpec, basis_state, \
-    effective_params, effective_propagate
+from floquet_lattice import Branch, FloquetMode
 from floquet_lattice import ValidationError
 from floquet_lattice.csvio import (
     BLOCK_CELLS,
@@ -57,20 +56,6 @@ def test_trajectory_csv_round_trip(tmp_path):
         for j in range(3):
             assert float(cells[1 + 2 * j]) == amps[i, j].real
             assert float(cells[2 + 2 * j]) == amps[i, j].imag
-
-
-def test_rotating_frame_marker(tmp_path):
-    spec = SystemSpec(n_sites=3, omega0=1.0, nu0=0.0, a1=22.0, a2=0.0,
-                      omega=10.0)
-    params = effective_params(spec, basis_state(3, 1))
-    traj = effective_propagate(params, basis_state(3, 1), t_final=5.0,
-                               n_samples=11)
-    path = tmp_path / "rotating.csv"
-    write_trajectory(path, traj.times, traj.amplitudes, comment="frame=rotating")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# frame=rotating"
-    assert lines[1].startswith("t,re_a1")
-    assert len(lines) == 13
 
 
 def test_table_writer_matches_fmt_per_cell(tmp_path):
@@ -147,9 +132,9 @@ def test_float_writers_match_fmt_per_cell(tmp_path):
     amps = np.array(AWKWARD)[:, None] * (1.0 + 1j * rng.normal(size=(1, 2)))
     cells = [(t, *(v for z in row for v in (z.real, z.imag)))
              for t, row in zip(times, amps)]
-    write_trajectory(tmp_path / "traj.csv", times, amps, comment="c")
+    write_trajectory(tmp_path / "traj.csv", times, amps)
     assert (tmp_path / "traj.csv").read_text() == _fmt_lines(
-        cells, "t,re_a1,im_a1,re_a2,im_a2", "c")
+        cells, "t,re_a1,im_a1,re_a2,im_a2")
 
     write_population_series(tmp_path / "series.csv", times, times[::-1])
     assert (tmp_path / "series.csv").read_text() == _fmt_lines(
@@ -177,8 +162,7 @@ def test_float_writers_match_fmt_per_cell(tmp_path):
 # returns the table of floats its CSV must read back to, row by row.
 
 def _trajectory(path, t):
-    write_trajectory(path, t[:, 0], np.ascontiguousarray(t[:, 1:]).view(complex),
-                     comment="c")
+    write_trajectory(path, t[:, 0], np.ascontiguousarray(t[:, 1:]).view(complex))
     return t
 
 

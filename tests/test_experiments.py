@@ -19,7 +19,6 @@ from floquet_lattice import (
     figure_scan_config,
     j0_zero,
     landmark_zeros,
-    min_population,
     reproduce,
     scan_min_p1,
     scan_spectrum,
@@ -55,6 +54,8 @@ def test_config_validation():
         small_config(grid_points=1)
     with pytest.raises(ValidationError, match="horizon"):
         small_config(horizon_periods=0)
+    with pytest.raises(ValidationError, match="too long"):
+        small_config(horizon_periods=10**21)
     with pytest.raises(ValidationError, match="initial_site"):
         small_config(initial_site=9)
     with pytest.raises(ValidationError, match="finite"):
@@ -112,7 +113,7 @@ def test_scan_matches_direct_propagation():
                                 t_final=config.horizon_periods * spec.period,
                                 steps_per_period=config.steps_per_period,
                                 stride=100)
-        assert abs(value - min_population(traj, 1)) < 1e-9
+        assert abs(value - traj.min_populations[0]) < 1e-9
 
 
 def test_scan_deterministic_and_worker_invariant():

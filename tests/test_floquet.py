@@ -13,7 +13,6 @@ from floquet_lattice import (
     NumericsError,
     SystemSpec,
     ValidationError,
-    averaged_populations,
     classify_closest_approach,
     floquet_modes,
     fold_quasienergy,
@@ -26,7 +25,7 @@ from floquet_lattice.floquet import (
     _gap_probe,
     _unpruned_matchings,
 )
-from floquet_lattice.propagator import one_period_table
+from floquet_lattice.propagator import one_period_table, period_average
 
 from helpers import (
     circular_match,
@@ -151,7 +150,8 @@ def test_floquet_mode_reproduces_up_to_quasienergy_phase():
 def test_averaged_populations_static_stationary_state():
     spec = spec_n(3, a1=0.0, a2=0.0)
     vec = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
-    pops = averaged_populations(spec, vec.astype(complex), 1000)
+    pops = period_average(spec, [spec.a2], vec[np.newaxis, np.newaxis, :],
+                          1000)[0, 0]
     assert np.max(np.abs(pops - np.array([0.5, 0.0, 0.5]))) < 1e-9
 
 
@@ -326,8 +326,7 @@ def test_one_period_paths_reject_bad_steps_per_period(steps):
     with pytest.raises(ValidationError, match="steps_per_period"):
         track_branches(spec, [0.0, 1.0], steps)
     with pytest.raises(ValidationError, match="steps_per_period"):
-        averaged_populations(spec, np.array([1.0, 0.0, 0.0], dtype=complex),
-                             steps)
+        period_average(spec, [spec.a2], np.array([[[1.0, 0.0, 0.0]]]), steps)
 
 
 def test_non_finite_operator_raises_package_error():

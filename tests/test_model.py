@@ -8,21 +8,19 @@ from floquet_lattice import (
     StateVector,
     SystemSpec,
     ValidationError,
-    averaged_populations,
     basis_state,
     effective_params,
-    effective_propagate,
-    hamiltonian_at,
     propagate,
     spec_from_json,
-    spec_to_json,
-    validate,
 )
+from floquet_lattice.model import _validate
 from floquet_lattice.propagator import (
     folded_min_population,
     folded_population_series,
     one_period_table,
 )
+
+from helpers import hamiltonian_at
 
 
 def three_site(**kw):
@@ -37,21 +35,21 @@ def test_period_identity():
 
 
 def test_hamiltonian_reference_point():
-    h = hamiltonian_at(three_site(), 0.0).entries
+    h = hamiltonian_at(three_site(), 0.0)
     expected = np.array([[22.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     assert np.allclose(h, expected, atol=0.0)
 
 
 def test_quarter_period_diagonal_vanishes():
     spec = three_site(a2=17.0)
-    h = hamiltonian_at(spec, spec.period / 4.0).entries
+    h = hamiltonian_at(spec, spec.period / 4.0)
     assert np.max(np.abs(np.diag(h))) < 1e-13
     assert h[0, 1] == 1.0
 
 
 def test_second_order_coupling_band():
     spec = SystemSpec(n_sites=4, omega0=1.0, nu0=0.2, a1=22.0, a2=3.0, omega=10.0)
-    h = hamiltonian_at(spec, 0.77).entries
+    h = hamiltonian_at(spec, 0.77)
     assert h[0, 2] == 0.2
     assert h[1, 3] == 0.2
     assert h[2, 0] == 0.2
@@ -64,7 +62,7 @@ def test_band_structure_random_times(n_sites):
                       omega=4.0)
     for _ in range(5):
         t = float(rng.uniform(-20, 20))
-        h = hamiltonian_at(spec, t).entries
+        h = hamiltonian_at(spec, t)
         assert np.allclose(h, h.conj().T, atol=0.0)
         for i in range(n_sites):
             for j in range(n_sites):
@@ -84,8 +82,8 @@ def test_periodicity():
     rng = np.random.default_rng(0)
     for _ in range(10):
         t = float(rng.uniform(0, 50))
-        h1 = hamiltonian_at(spec, t).entries
-        h2 = hamiltonian_at(spec, t + spec.period).entries
+        h1 = hamiltonian_at(spec, t)
+        h2 = hamiltonian_at(spec, t + spec.period)
         assert np.allclose(h1, h2, atol=1e-12)
 
 
@@ -94,8 +92,8 @@ def test_half_period_drive_antisymmetry():
     rng = np.random.default_rng(1)
     for _ in range(10):
         t = float(rng.uniform(0, 50))
-        h1 = hamiltonian_at(spec, t).entries
-        h2 = hamiltonian_at(spec, t + spec.period / 2.0).entries
+        h1 = hamiltonian_at(spec, t)
+        h2 = hamiltonian_at(spec, t + spec.period / 2.0)
         assert np.allclose(np.diag(h2), -np.diag(h1), atol=1e-12)
         off1 = h1 - np.diag(np.diag(h1))
         off2 = h2 - np.diag(np.diag(h2))
@@ -103,7 +101,7 @@ def test_half_period_drive_antisymmetry():
 
 
 def test_validate_accepts_reference():
-    validate(three_site())
+    _validate(three_site())
 
 
 def test_rejects_single_site():
@@ -123,12 +121,12 @@ def test_rejects_non_finite():
 
 def test_json_round_trip():
     spec = SystemSpec(n_sites=4, omega0=1.5, nu0=0.2, a1=22.0, a2=24.0, omega=10.0)
-    again = spec_from_json(spec_to_json(spec))
+    again = spec_from_json(json.dumps(spec.to_json_dict()))
     assert again == spec
 
 
 def test_json_unknown_keys_rejected():
-    payload = json.loads(spec_to_json(three_site()))
+    payload = three_site().to_json_dict()
     payload["extra"] = 1
     with pytest.raises(ValidationError, match="extra"):
         spec_from_json(json.dumps(payload))
@@ -145,7 +143,7 @@ def test_json_rejects_non_object():
 
 
 def test_json_n_sites_must_be_integral():
-    payload = json.loads(spec_to_json(three_site()))
+    payload = three_site().to_json_dict()
     assert SystemSpec.from_json_dict({**payload, "n_sites": 3.0}).n_sites == 3
     with pytest.raises(ValidationError, match="n_sites"):
         SystemSpec.from_json_dict({**payload, "n_sites": 3.5})
@@ -155,15 +153,11 @@ def test_json_n_sites_must_be_integral():
 # check: n_sites amplitudes, unit norm within 1e-9; NaN and Inf fail.
 def _state_entry_points():
     spec = three_site(a2=5.0)
-    params = effective_params(spec, basis_state(3, 1))
     table = one_period_table(spec, [0.0, 20.0], 200)
     return {
         "propagate": lambda a: propagate(spec, StateVector(a), spec.period,
                                          200),
         "effective_params": lambda a: effective_params(spec, StateVector(a)),
-        "effective_propagate": lambda a: effective_propagate(
-            params, StateVector(a), 1.0),
-        "averaged_populations": lambda a: averaged_populations(spec, a, 200),
         "folded_min_population": lambda a: folded_min_population(
             table, 0, a, 2),
         "folded_population_series": lambda a: folded_population_series(
@@ -179,8 +173,7 @@ def _state_entry_points():
     ([1.0, 0.0, 0.0, 0.0], "sites"),
 ], ids=["nan", "inf", "norm-2", "short", "long"])
 @pytest.mark.parametrize("entry", [
-    "propagate", "effective_params", "effective_propagate",
-    "averaged_populations", "folded_min_population",
+    "propagate", "effective_params", "folded_min_population",
     "folded_population_series"])
 def test_every_state_entry_point_rejects_bad_states(entry, state, message):
     call = _state_entry_points()[entry]

@@ -8,15 +8,11 @@ from floquet_lattice import (
     IntegrationFailure,
     StateVector,
     SystemSpec,
-    Trajectory,
     ValidationError,
     basis_state,
-    min_population,
     monodromy,
     floquet_modes,
     propagate,
-    propagation_norm_drift,
-    site_population_series,
 )
 from floquet_lattice import propagator
 from floquet_lattice.experiments import FIGURE_IDS, figure_scan_config
@@ -43,6 +39,7 @@ from helpers import (
     _rhs,
     _rk4_advance,
     direct_propagate,
+    hamiltonian_at,
     one_product_min_population,
     one_product_population_series,
     whole_matrix_step_matrices,
@@ -69,21 +66,21 @@ def test_decoupled_sites_freeze_populations():
 def test_cdt_keeps_population_home():
     spec = spec3()
     traj = propagate(spec, basis_state(3, 1), t_final=50 * spec.period, stride=10)
-    assert min_population(traj, 1) > 0.9
+    assert traj.min_populations[0] > 0.9
 
 
 def test_delocalization_at_first_zero():
     spec = spec3(a2=24.0)  # a2/omega = 2.4, essentially at the first J0 zero
     traj = propagate(spec, basis_state(3, 1), t_final=200 * spec.period, stride=100)
-    assert min_population(traj, 1) < 0.05
-    _, p1 = site_population_series(traj, 1)
+    assert traj.min_populations[0] < 0.05
+    p1 = np.abs(traj.amplitudes[:, 0]) ** 2
     assert p1.max() > 0.95
 
 
 def test_partial_suppression_value():
     spec = spec3(a2=20.0)
     traj = propagate(spec, basis_state(3, 1), t_final=200 * spec.period, stride=100)
-    assert 0.3 < min_population(traj, 1) < 0.5
+    assert 0.3 < traj.min_populations[0] < 0.5
 
 
 def test_norm_conservation_default_resolution():
@@ -151,19 +148,17 @@ def test_min_population_zero_for_unvisited_site():
     spec = SystemSpec(n_sites=3, omega0=0.0, nu0=0.0, a1=5.0, a2=0.0, omega=10.0)
     traj = propagate(spec, basis_state(3, 1), t_final=spec.period,
                      steps_per_period=100)
-    assert min_population(traj, 2) == 0.0
+    assert traj.min_populations[1] == 0.0
 
 
 def test_population_series_shape_and_range():
     spec = spec3(a2=24.0)
     traj = propagate(spec, basis_state(3, 1), t_final=5 * spec.period,
                      steps_per_period=500, stride=5)
-    times, p1 = site_population_series(traj, 1)
-    assert times.size == p1.size == traj.n_samples
+    p1 = np.abs(traj.amplitudes[:, 0]) ** 2
+    assert traj.times.size == p1.size == 2500 // 5 + 1
     assert p1[0] == 1.0
     assert np.all(p1 >= 0.0) and np.all(p1 <= 1.0 + 1e-12)
-    with pytest.raises(ValidationError):
-        site_population_series(traj, 4)
 
 
 def test_stride_decimation_preserves_minima():
@@ -211,28 +206,9 @@ def test_non_finite_norm_fails_the_step_gate():
                   steps_per_period=100)
 
 
-def test_min_population_site_errors():
-    spec = spec3()
-    traj = propagate(spec, basis_state(3, 1), t_final=spec.period,
-                     steps_per_period=200)
-    with pytest.raises(ValidationError):
-        min_population(traj, 0)
-    with pytest.raises(ValidationError):
-        min_population(traj, 4)
-    empty = Trajectory(
-        spec=spec, times=np.empty(0), amplitudes=np.empty((0, 3), dtype=complex),
-        step_size=1.0, steps_per_period=100, stride=1,
-        min_populations=np.ones(3), max_norm_deviation=0.0,
-    )
-    with pytest.raises(ValidationError):
-        min_population(empty, 1)
-
-
 def test_kernel_matches_hamiltonian_matrix():
     # the slice-based stepping oracle and the reference matrix assembly
     # must describe the same H(t)
-    from floquet_lattice.model import hamiltonian_at
-
     rng = np.random.default_rng(13)
     spec = SystemSpec(n_sites=5, omega0=0.7, nu0=0.31, a1=7.0, a2=-3.0,
                       omega=4.0)
@@ -243,7 +219,7 @@ def test_kernel_matches_hamiltonian_matrix():
         out = np.empty_like(y)
         _rhs(out, y, np.cos(spec.omega * t), spec.omega0, spec.nu0,
              _edge_amps(spec, 1))
-        expected = -1j * (hamiltonian_at(spec, t).entries @ y[0])
+        expected = -1j * (hamiltonian_at(spec, t) @ y[0])
         assert np.max(np.abs(out[0] - expected)) < 1e-14
 
 
@@ -258,7 +234,7 @@ def test_folded_min_matches_direct():
     folded, _ = folded_min_population(table, 0, a0, periods)
     direct = direct_propagate(spec, basis_state(3, 1), periods * spec.period,
                               steps_per_period=spp, stride=50)
-    assert abs(folded - min_population(direct, 1)) < 1e-9
+    assert abs(folded - direct.min_populations[0]) < 1e-9
 
 
 def test_folded_series_matches_direct():
@@ -269,7 +245,7 @@ def test_folded_series_matches_direct():
     times, series = folded_population_series(table, 0, a0, periods, stride=1)
     direct = direct_propagate(spec, basis_state(3, 1), periods * spec.period,
                               steps_per_period=spp)
-    _, p_direct = site_population_series(direct, 1)
+    p_direct = np.abs(direct.amplitudes[:, 0]) ** 2
     assert times.size == p_direct.size
     assert np.max(np.abs(series - p_direct)) < 1e-9
 
@@ -342,7 +318,8 @@ def test_propagate_memory_is_bounded():
                       omega=10.0)
     tracemalloc.start()
     try:
-        propagation_norm_drift(spec, 20, steps_per_period=20000)
+        propagate(spec, basis_state(8, 1), 20 * spec.period,
+                  steps_per_period=20000, stride=20 * 20000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -576,6 +553,19 @@ def test_folded_paths_reject_bad_point(point):
         folded_population_series(table, point, a0, 4)
 
 
+@pytest.mark.parametrize("periods, message", [
+    (float("nan"), "finite"), (float("inf"), "finite"), (1e21, "too long")])
+def test_propagate_rejects_horizons_it_cannot_step(monkeypatch, periods,
+                                                    message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the horizon was not checked before any work")
+
+    monkeypatch.setattr(propagator, "_row_table", no_work)
+    spec = spec3()
+    with pytest.raises(ValidationError, match=message):
+        propagate(spec, basis_state(3, 1), t_final=periods * spec.period)
+
+
 @pytest.mark.parametrize("stride", [2.0, True, 0, -1])
 def test_propagate_rejects_bad_stride(stride):
     spec = spec3()
@@ -588,7 +578,9 @@ def test_norm_drift_report_matches_direct():
     spec = spec3(a2=24.0)
     direct = direct_propagate(spec, basis_state(3, 1), 5 * spec.period,
                               steps_per_period=500, stride=100)
-    reported = propagation_norm_drift(spec, periods=5, steps_per_period=500)
+    reported = propagate(spec, basis_state(3, 1), 5 * spec.period,
+                         steps_per_period=500,
+                         stride=5 * 500).max_norm_deviation
     assert reported == pytest.approx(direct.max_norm_deviation, abs=1e-11)
 
 
@@ -596,7 +588,8 @@ def test_norm_drift_report_fails_where_direct_would():
     # 5e-7 drift per period at 150 steps passes the 1e-6 bound within a few
     # periods; the direct loop raises at the same step
     with pytest.raises(IntegrationFailure, match="across periods") as folded:
-        propagation_norm_drift(spec3(), periods=400, steps_per_period=150)
+        propagate(spec3(), basis_state(3, 1), 400 * spec3().period,
+                  steps_per_period=150, stride=400 * 150)
     with pytest.raises(IntegrationFailure) as direct:
         direct_propagate(spec3(), basis_state(3, 1), 400 * spec3().period,
                          steps_per_period=150)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from floquet_lattice import ValidationError, bessel_eval, bessel_j, j0_zero
+from floquet_lattice import ValidationError, bessel_j, j0_zero
 
 from helpers import bessel_quadrature, bisect_zero
 
@@ -79,14 +79,6 @@ def test_zero_values():
 def test_zero_bracketing(n):
     z = j0_zero(n)
     assert bessel_j(0, z - 1e-4) * bessel_j(0, z + 1e-4) < 0.0
-
-
-def test_bessel_eval_bundle():
-    ev = bessel_eval(0, 2.2)
-    assert ev.order == 0
-    assert ev.argument == 2.2
-    assert ev.value == bessel_j(0, 2.2)
-    assert ev.abs_error_bound <= 1e-10
 
 
 @pytest.mark.parametrize(
