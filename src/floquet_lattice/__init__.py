@@ -48,7 +48,6 @@ from .model import (
     static_hamiltonian,
 )
 from .propagator import (
-    StateVector,
     Trajectory,
     basis_state,
     propagate,
@@ -68,7 +67,6 @@ __all__ = [
     "ScanConfig",
     "ScanInterrupted",
     "ScanResult",
-    "StateVector",
     "SystemSpec",
     "Trajectory",
     "ValidationError",

@@ -137,15 +137,12 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _workers(args) -> int:
-    """--workers, else the number of CPUs this process may run on; a value
-    below 1 is a validation error."""
-    if args.workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if args.workers < 1:
-        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
-    return args.workers
+    """--workers, else the number of CPUs this process may run on."""
+    if args.workers is not None:
+        return args.workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_out(out: Path) -> None:
@@ -318,6 +315,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a horizon that fits np.intp but not memory
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: the run needs more memory than it can get{detail}",
+              file=sys.stderr)
         return 1
     except ScanInterrupted as exc:
         print(f"numerical failure: {exc} "

@@ -197,7 +197,7 @@ def _scan_table(config: ScanConfig, ratios: np.ndarray):
         spec, ratios * spec.omega, config.steps_per_period,
         site=config.initial_site,
     )
-    return table, basis_state(spec.n_sites, config.initial_site).amplitudes
+    return table, basis_state(spec.n_sites, config.initial_site)
 
 
 def _refined_ratios(config: ScanConfig, landmarks: list[float]) -> np.ndarray:
@@ -334,10 +334,12 @@ def _check_averaged_model(config: ScanConfig) -> None:
     """Raise unless the averaged model covers every grid point of the scan
     from its initial site (n_sites = 3, start at site 1): a heatmap recipe
     checks this before any numerical work."""
+    if config.initial_site != 1:
+        raise ValidationError("the averaged model's P1 starts at site 1; "
+                              f"initial_site is {config.initial_site}")
     spec = config.base_spec
-    initial = basis_state(spec.n_sites, config.initial_site)
     for a2 in config.grid() * spec.omega:
-        analytic_p1(effective_params(spec.replace(a2=float(a2)), initial), 0.0)
+        effective_params(spec.replace(a2=float(a2)))
 
 
 def _heatmap_outputs(raw, config, out_dir) -> list[str]:
@@ -352,11 +354,8 @@ def _heatmap_outputs(raw, config, out_dir) -> list[str]:
 
     ana = np.empty_like(grid)
     for i, a2 in enumerate(a2_values):
-        params = effective_params(
-            spec.replace(a2=float(a2)),
-            basis_state(spec.n_sites, config.initial_site),
-        )
-        ana[i] = analytic_p1(params, times)
+        ana[i] = analytic_p1(effective_params(spec.replace(a2=float(a2))),
+                             times)
     csvio.write_heatmap(
         out_dir / "heatmap_analytic.csv", times, a2_values, ana,
         comment="frame=rotating",
@@ -379,6 +378,7 @@ def reproduce(
     overrides = overrides or {}
     raw = figure_config(figure_id)
     config = _apply_overrides(ScanConfig.from_json_dict(raw), overrides)
+    require_int("workers", workers, 1)
     if "heatmap" in raw:
         _check_averaged_model(config)
     for panel in ("series", "heatmap"):

@@ -4,12 +4,13 @@ The integrator is a fixed-step classical Runge-Kutta (4th order) with the
 step tied to the drive period, h = T / steps_per_period.
 
 Because H is T-periodic and steps are period-commensurate, a horizon of M
-periods factors through the one-period map: a(t0 + m T + tau) =
-V(tau) U^m a(t0). ``propagate`` and the folded helpers below evaluate every
-integrator step of a long horizon that way, from one period of stepping;
-they compose exactly the same RK4 one-step maps, so they agree with direct
-stepping to rounding. One fold, ``_fold``, forms every such product a
-block of periods at a time, so memory is bounded whatever the horizon.
+periods from t = 0 factors through the one-period map: a(m T + tau) =
+V(tau) U^m a(0). ``propagate`` and the folded helpers below evaluate
+every integrator step of a long horizon that way, from one period of
+stepping; they compose exactly the same RK4 one-step maps, so they agree
+with direct stepping to rounding. One fold, ``_fold``, forms every such
+product a block of periods at a time, so memory is bounded whatever the
+horizon.
 
 Every one-period quantity goes through the step-matrix kernel. The equation
 is linear, so one RK4 step is multiplication by a fixed n x n matrix R_k, the
@@ -129,25 +130,12 @@ COARSE_STRIDE = 20
 STARTS_BYTES = 1 << 19
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes on the site basis at a single time."""
-
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or amps.size < 2:
-            raise ValidationError("state must be a vector of >= 2 amplitudes")
-
-
-def basis_state(n_sites: int, site: int) -> StateVector:
-    """Unit amplitude on one site (1-based index), zero elsewhere."""
+def basis_state(n_sites: int, site: int) -> np.ndarray:
+    """Complex amplitudes with unit amplitude on one site (1-based index),
+    zero elsewhere."""
     amps = np.zeros(n_sites, dtype=complex)
     amps[require_site("site", site, n_sites)] = 1.0
-    return StateVector(amplitudes=amps, time=0.0)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -307,8 +295,8 @@ def _step_matrices(coef: np.ndarray, a2: np.ndarray, out: np.ndarray,
 
 
 def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
-           on_chunk=None, t0: float = 0.0):
-    """Carry the (points, k, n) row states ``y0`` over one period from t0.
+           on_chunk=None):
+    """Carry the (points, k, n) row states ``y0`` over the period from t = 0.
 
     Point p evolves at a2_values[p] and the other fields of ``spec``. Steps
     go in blocks: the coefficients of a block of steps (blocks fixed by n
@@ -343,8 +331,7 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for c0 in range(0, steps_per_period, coef_steps):
             c1 = min(c0 + coef_steps, steps_per_period)
-            coef = _step_coefficients(spec, h, t0 + np.arange(c0, c1) * h,
-                                      work)
+            coef = _step_coefficients(spec, h, np.arange(c0, c1) * h, work)
             edge = _corner(coef)
             corner = coef[:, :, edge:, edge:]
             if edge:  # work[1] is free once the coefficients are built
@@ -368,16 +355,15 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
                 dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
                 try:
                     max_dev = max(max_dev,
-                                  _norm_gate(dev, t0, s0, h, "at t={t!r}"))
+                                  _norm_gate(dev, 0.0, s0, h, "at t={t!r}"))
                 except IntegrationFailure:
-                    raise _sweep_failure(dev, norms, a2, t0, s0, h) from None
+                    raise _sweep_failure(dev, norms, a2, s0, h) from None
                 if on_chunk is not None:
                     on_chunk(s0 + 1, y)
     return cur, max_dev
 
 
-def _sweep_failure(dev, norms, a2, t0: float, s0: int,
-                   h: float) -> IntegrationFailure:
+def _sweep_failure(dev, norms, a2, s0: int, h: float) -> IntegrationFailure:
     """The sweep gate's failure, naming the a2 of the worst point at the
     first failing step; ``norms`` is (steps, points, k). Called only once
     the gate has failed, so the sweep's loop does no work for it."""
@@ -385,24 +371,24 @@ def _sweep_failure(dev, norms, a2, t0: float, s0: int,
     worst = np.abs(norms[i] - 1.0).reshape(a2.size, -1).max(axis=1)
     point = int(np.argmax(worst))  # the first NaN, if there is one
     try:
-        _norm_gate(dev, t0, s0, h, f"at a2={float(a2[point])!r}, t={{t!r}}")
+        _norm_gate(dev, 0.0, s0, h, f"at a2={float(a2[point])!r}, t={{t!r}}")
     except IntegrationFailure as exc:
         return exc
 
 
 def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
-                on_chunk=None, t0: float = 0.0):
+                on_chunk=None):
     """Propagate the site basis over one period at every a2 in ``a2_values``.
 
     The other fields of ``spec`` are shared by all points. Returns the
-    (points, n, n) stack of one-period operators U(t0 + T, t0) and the worst
+    (points, n, n) stack of one-period operators U(T, 0) and the worst
     norm deviation of any basis image at any step; the gate fails on any
     basis image. ``on_chunk`` is as in ``_sweep``: row j of point p's state
-    is the image of basis state j, i.e. the states are U(t_s, t0) transposed.
+    is the image of basis state j, i.e. the states are U(t_s, 0) transposed.
     """
     n = spec.n_sites
     eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
-    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, on_chunk, t0)
+    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, on_chunk)
     return y.transpose(0, 2, 1), max_dev
 
 
@@ -443,8 +429,9 @@ def map_chunks(fn, n_items: int, workers: int) -> list:
     sweep's and the fold's calls are tens of microseconds: a stacked
     120-point 4 x 4 ``np.matmul`` (about 70 us) ran slower on two threads
     than on one, while two processes each ran half of fig4's fold at one
-    thread's speed.
+    thread's speed. ``workers`` must be an integer >= 1.
     """
+    require_int("workers", workers, 1)
     chunks = np.array_split(np.arange(n_items), max(1, min(workers, n_items)))
     if len(chunks) == 1:
         return [fn(chunks[0])]
@@ -458,12 +445,13 @@ def map_chunks(fn, n_items: int, workers: int) -> list:
 
 def propagate(
     spec: SystemSpec,
-    initial: StateVector,
+    initial: np.ndarray,
     t_final: float,
     steps_per_period: int = DEFAULT_STEPS_PER_PERIOD,
     stride: int = 1,
 ) -> Trajectory:
-    """Integrate the driven chain from ``initial`` up to ``t_final``.
+    """Integrate the driven chain from the amplitudes ``initial`` at t = 0
+    up to ``t_final``.
 
     The horizon is rounded to the nearest whole step h = T/steps_per_period.
     With ``stride`` > 1 only every stride-th sample is stored (it must divide
@@ -471,11 +459,10 @@ def propagate(
     A horizon that is not finite, or whose step count does not fit np.intp,
     is a ValidationError.
 
-    One basis sweep over the period from ``initial.time`` gives the table
-    V(tau_s), and the state at step m * steps_per_period + s is
-    V(tau_s) U^m a(t0), evaluated by ``_fold``. Memory holds the stored
-    samples, the table, one vector per period and one block of periods,
-    never every step.
+    One basis sweep over the first period gives the table V(tau_s), and the
+    state at step m * steps_per_period + s is V(tau_s) U^m a(0), evaluated
+    by ``_fold``. Memory holds the stored samples, the table, one vector per
+    period and one block of periods, never every step.
 
     Raises IntegrationFailure if the norm drifts beyond the hard bound at
     any step of the horizon, carrying the time of the first such step. Like
@@ -483,13 +470,12 @@ def propagate(
     the first period, so a step size too coarse for any of them fails even
     where this state alone would pass.
     """
-    a0 = require_state("initial state", initial.amplitudes, spec.n_sites)
+    a0 = require_state("initial state", initial, spec.n_sites)
     h = _step_size(spec, steps_per_period)
     require_int("stride", stride, 1)
-    steps = (t_final - initial.time) / h
+    steps = t_final / h
     if not 0.0 < steps < math.inf:  # NaN fails too
-        raise ValidationError(f"t_final {t_final!r} is not a finite time "
-                              f"after the initial time {initial.time!r}")
+        raise ValidationError(f"t_final {t_final!r} is not a finite time > 0")
     nsteps = max(1, int(round(steps)))
     check_step_count(nsteps)
     if nsteps % stride != 0:
@@ -497,8 +483,8 @@ def propagate(
             f"stride {stride} must divide the total step count {nsteps}"
         )
 
-    n, spp, t0 = spec.n_sites, steps_per_period, initial.time
-    (u,), rows, _ = _row_table(spec, [spec.a2], spp, list(range(n)), t0)
+    n, spp = spec.n_sites, steps_per_period
+    (u,), rows, _ = _row_table(spec, [spec.a2], spp, list(range(n)))
     (w,) = _period_starts(u[np.newaxis], a0, nsteps // spp + 1)
 
     stored = np.empty((nsteps // stride + 1, n), dtype=complex)
@@ -513,13 +499,13 @@ def propagate(
             if j0 == 0:
                 dev[0] = 0.0  # the initial state is no step's result
             max_dev = max(max_dev, _norm_gate(
-                dev, t0, j0 - 1, h, "across periods, first at t={t!r}"))
+                dev, 0.0, j0 - 1, h, "across periods, first at t={t!r}"))
             np.minimum(min_pops, pops.min(axis=0), out=min_pops)
             first = -j0 % stride
             stored[(j0 + first) // stride:(j0 + len(amps) - 1) // stride + 1] = (
                 amps[first::stride])
         del block, amps  # freed before ``_fold`` forms the next block
-    times = t0 + h * stride * np.arange(stored.shape[0])
+    times = h * stride * np.arange(stored.shape[0])
     return Trajectory(
         spec=spec,
         times=times,
@@ -612,9 +598,9 @@ def _step_change(spec: SystemSpec, a2_values, steps_per_period: int,
 
 
 def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
-               sites: list[int], t0: float = 0.0):
-    """(U(t0 + T, t0) per point, rows, worst norm deviation), rows[s, p, i]
-    being row sites[i] of point p's U(t_s, t0), s = 0..steps_per_period."""
+               sites: list[int]):
+    """(U(T, 0) per point, rows, worst norm deviation), rows[s, p, i] being
+    row sites[i] of point p's U(t_s, 0), s = 0..steps_per_period."""
     _step_size(spec, steps_per_period)  # checked before it sizes rows
     shape = (steps_per_period + 1, np.size(a2_values), len(sites),
              spec.n_sites)
@@ -625,11 +611,11 @@ def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
     rows = np.frombuffer(mmap.mmap(-1, 16 * max(1, math.prod(shape))),
                          dtype=complex, count=math.prod(shape)).reshape(shape)
 
-    def collect(first, states):  # row j of a state is U(t_s, t0)[:, j]
+    def collect(first, states):  # row j of a state is U(t_s, 0)[:, j]
         rows[first:first + len(states)] = states[..., sites].swapaxes(-1, -2)
 
     u, max_dev = basis_sweep(spec, a2_values, steps_per_period,
-                             on_chunk=collect, t0=t0)
+                             on_chunk=collect)
     return u, rows, max_dev
 
 

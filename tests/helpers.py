@@ -198,12 +198,12 @@ def _edge_amps(spec: SystemSpec, batch: int) -> np.ndarray:
 def direct_propagate(spec, initial, t_final, steps_per_period, stride=1):
     """``propagate``'s Trajectory from stepping every step of the horizon.
 
-    Same sampling as the package: the horizon rounded to whole steps from
-    ``initial.time``, every stride-th sample stored, minima over every
-    sample and the worst norm deviation over every step.
+    Same sampling as the package: the amplitudes ``initial`` at t = 0, the
+    horizon rounded to whole steps, every stride-th sample stored, minima
+    over every sample and the worst norm deviation over every step.
     """
     h = spec.period / steps_per_period
-    nsteps = max(1, int(round((t_final - initial.time) / h)))
+    nsteps = max(1, int(round(t_final / h)))
     assert nsteps % stride == 0
     stored = np.empty((nsteps // stride + 1, spec.n_sites), dtype=complex)
     min_pops = np.ones(spec.n_sites)
@@ -213,13 +213,12 @@ def direct_propagate(spec, initial, t_final, steps_per_period, stride=1):
         if i % stride == 0:
             stored[i // stride] = y[0]
 
-    y = initial.amplitudes[np.newaxis, :].copy()
+    y = np.array(initial, dtype=complex)[np.newaxis, :]
     max_dev = _rk4_advance(y, _edge_amps(spec, 1), spec.omega0, spec.nu0,
-                           spec.omega, h, nsteps, t0=initial.time,
-                           on_step=collect)
+                           spec.omega, h, nsteps, on_step=collect)
     return Trajectory(
         spec=spec,
-        times=initial.time + h * stride * np.arange(stored.shape[0]),
+        times=h * stride * np.arange(stored.shape[0]),
         amplitudes=stored,
         step_size=h * stride,
         steps_per_period=steps_per_period,

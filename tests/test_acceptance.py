@@ -200,9 +200,8 @@ def _pointwise_bound(omega: float, ratios: np.ndarray) -> float:
     e1 = basis_state(3, 1)
     gaps = []
     for i, ratio in enumerate(ratios):
-        t, p = folded_population_series(table, i, e1.amplitudes, periods,
-                                        stride=1)
-        params = effective_params(spec.replace(a2=float(ratio * omega)), e1)
+        t, p = folded_population_series(table, i, e1, periods, stride=1)
+        params = effective_params(spec.replace(a2=float(ratio * omega)))
         gaps.append(np.max(np.abs(p - analytic_p1(params, t))))
     return float(np.max(gaps))
 
@@ -336,7 +335,7 @@ def test_criterion_4_crossing_and_peak(fig4_scan, fig4_spectrum):
     loc = cls["location"]
     probe = np.array([loc, loc - 0.1, loc + 0.1]) * spec.omega
     table = one_period_table(spec, probe, 2000, site=1)
-    e1 = basis_state(4, 1).amplitudes
+    e1 = basis_state(4, 1)
     peak, _ = folded_min_population(table, 0, e1, 2000)
     left, _ = folded_min_population(table, 1, e1, 2000)
     right, _ = folded_min_population(table, 2, e1, 2000)

@@ -184,8 +184,7 @@ def test_bad_grid_flag(tmp_path, spec_file, capsys):
 
 
 @pytest.mark.parametrize("override, message", [
-    ("initial_site=2", "analytic_p1 requires constants captured from the "
-                       "(1, 0, 0) state"),
+    ("initial_site=2", "initial_site is 2"),
     ("n_sites=4", "averaged model is defined for n_sites=3 only"),
 ])
 def test_reproduce_checks_the_averaged_model_first(tmp_path, capsys,
@@ -301,6 +300,42 @@ def test_horizons_that_cannot_be_stepped_exit_1(tmp_path, spec_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["propagate", "--periods", "1000000000000"],
+    ["propagate", "--periods", "1000000000000", "--stride",
+     "2000000000000000"],
+    ["scan-minp1", "--grid", "0:1:2", "--periods", "1000000000000",
+     "--workers", "1"],
+], ids=["propagate", "propagate-two-samples", "scan-minp1"])
+def test_runs_that_need_more_memory_than_they_can_get_exit_1(tmp_path,
+                                                             spec_file,
+                                                             command):
+    # the step counts fit np.intp, but a trillion period starts (propagate)
+    # or fold-block edges (scan-minp1) do not fit a 3 GB address space
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    import floquet_lattice
+
+    src = os.path.dirname(os.path.dirname(floquet_lattice.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    out = tmp_path / "x"
+    run = subprocess.run(
+        [sys.executable, "-m", "floquet_lattice.cli", *command,
+         "--config", str(spec_file), "--out", str(out)],
+        env=env, preexec_fn=cap_address_space, capture_output=True,
+        text=True, timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and "more memory" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_bad_grid_number(tmp_path, spec_file, capsys):
     assert main(["scan-minp1", "--config", str(spec_file),
                  "--grid", "0:six:3", "--out", str(tmp_path / "x")]) == 1
@@ -381,7 +416,7 @@ def test_workers_flag_below_one(tmp_path, spec_file, capsys, value):
                  ["reproduce", "fig2"]):
         out = tmp_path / "out"
         assert main(argv + ["--workers", value, "--out", str(out)]) == 1
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -22,6 +22,7 @@ from floquet_lattice import (
     reproduce,
     scan_min_p1,
     scan_spectrum,
+    track_branches,
 )
 from floquet_lattice import experiments
 from floquet_lattice.experiments import write_manifest
@@ -128,7 +129,7 @@ def test_scan_deterministic_and_worker_invariant():
 def test_identical_points_give_identical_records():
     spec = spec_n(3)
     table = one_period_table(spec, np.array([20.0, 20.0]), 500, site=1)
-    e1 = basis_state(3, 1).amplitudes
+    e1 = basis_state(3, 1)
     m0, _ = folded_min_population(table, 0, e1, 5)
     m1, _ = folded_min_population(table, 1, e1, 5)
     assert m0 == m1
@@ -147,7 +148,7 @@ def test_scan_interrupted_carries_completed_points():
     assert all(0.0 <= v <= 1.0 for v in err.value.completed.values())
     # point 0 carries the value a scan of that one point gives
     table = one_period_table(spec, np.array([0.0]), 100, site=1)
-    alone, _ = folded_min_population(table, 0, basis_state(2, 1).amplitudes, 2)
+    alone, _ = folded_min_population(table, 0, basis_state(2, 1), 2)
     assert err.value.completed[0] == alone
 
 
@@ -173,7 +174,7 @@ def test_drift_gate_fails_at_its_own_point(monkeypatch):
     assert err.value.completed == {i: clean.min_p1[i] for i in range(4)}
     spec = config.base_spec
     table = scaled(spec, config.grid() * spec.omega, config.steps_per_period)
-    w = _starts(table, 4, basis_state(4, 1).amplitudes, 201)
+    w = _starts(table, 4, basis_state(4, 1), 201)
     drift = np.max(np.abs(np.sum(w.real**2 + w.imag**2, axis=0) - 1.0))
     assert str(err.value) == (
         f"scan failed after 4 of 9 points: norm drift {drift:.3e} exceeds "
@@ -193,6 +194,28 @@ def test_scan_min_p1_worker_invariance(points, workers):
     many = scan_min_p1(config, workers=workers)
     assert np.array_equal(many.min_p1, one.min_p1)
     assert np.array_equal(many.max_norm_deviation, one.max_norm_deviation)
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2", None])
+@pytest.mark.parametrize("entry", [
+    "scan_min_p1", "scan_spectrum", "track_branches", "reproduce"])
+def test_every_workers_argument_is_checked(tmp_path, entry, workers):
+    config = small_config()
+    out = tmp_path / "out"
+    calls = {
+        "scan_min_p1": lambda: scan_min_p1(config, workers=workers),
+        "scan_spectrum": lambda: scan_spectrum(config, workers=workers,
+                                               classify=False),
+        "track_branches": lambda: track_branches(
+            config.base_spec, config.grid(), 500, workers=workers),
+        "reproduce": lambda: reproduce(
+            "fig2", out, workers=workers,
+            overrides={"grid_points": "3", "horizon_periods": "2"}),
+    }
+    with pytest.raises(ValidationError,
+                       match="workers must be an integer >= 1"):
+        calls[entry]()
+    assert not out.exists()
 
 
 def test_spectrum_scan_dark_branch_and_classification():

@@ -136,12 +136,12 @@ def test_five_site_dark_mode_avoids_even_sites():
 
 def test_floquet_mode_reproduces_up_to_quasienergy_phase():
     # one period maps a mode vector to exp(-i eps T) times itself
-    from floquet_lattice import StateVector, propagate
+    from floquet_lattice import propagate
 
     spec = spec_n(3, a2=13.0)
     modes = floquet_modes(monodromy(spec, 1000))
     for mode in modes:
-        traj = propagate(spec, StateVector(mode.vector), t_final=spec.period,
+        traj = propagate(spec, mode.vector, t_final=spec.period,
                          steps_per_period=1000)
         expected = np.exp(-1j * mode.quasienergy * spec.period) * mode.vector
         assert np.max(np.abs(traj.amplitudes[-1] - expected)) < 1e-6

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from floquet_lattice import (
-    StateVector,
     SystemSpec,
     ValidationError,
     basis_state,
-    effective_params,
     propagate,
     spec_from_json,
 )
@@ -155,9 +153,7 @@ def _state_entry_points():
     spec = three_site(a2=5.0)
     table = one_period_table(spec, [0.0, 20.0], 200)
     return {
-        "propagate": lambda a: propagate(spec, StateVector(a), spec.period,
-                                         200),
-        "effective_params": lambda a: effective_params(spec, StateVector(a)),
+        "propagate": lambda a: propagate(spec, a, spec.period, 200),
         "folded_min_population": lambda a: folded_min_population(
             table, 0, a, 2),
         "folded_population_series": lambda a: folded_population_series(
@@ -173,7 +169,7 @@ def _state_entry_points():
     ([1.0, 0.0, 0.0, 0.0], "sites"),
 ], ids=["nan", "inf", "norm-2", "short", "long"])
 @pytest.mark.parametrize("entry", [
-    "propagate", "effective_params", "folded_min_population",
+    "propagate", "folded_min_population",
     "folded_population_series"])
 def test_every_state_entry_point_rejects_bad_states(entry, state, message):
     call = _state_entry_points()[entry]
@@ -188,4 +184,4 @@ def test_basis_state_rejects_bad_sites(site):
 
 
 def test_basis_state_accepts_numpy_sites():
-    assert basis_state(3, np.int64(3)).amplitudes.tolist() == [0, 0, 1]
+    assert basis_state(3, np.int64(3)).tolist() == [0, 0, 1]

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from floquet_lattice import (
     IntegrationFailure,
-    StateVector,
     SystemSpec,
     ValidationError,
     basis_state,
@@ -101,9 +100,9 @@ def test_linearity():
     combo = np.cos(theta) * u + np.sin(theta) * np.exp(1j * phi) * v
     t_final = 2 * spec.period
     kw = dict(steps_per_period=500)
-    tu = propagate(spec, StateVector(u), t_final, **kw)
-    tv = propagate(spec, StateVector(v), t_final, **kw)
-    tc = propagate(spec, StateVector(combo), t_final, **kw)
+    tu = propagate(spec, u, t_final, **kw)
+    tv = propagate(spec, v, t_final, **kw)
+    tc = propagate(spec, combo, t_final, **kw)
     recon = np.cos(theta) * tu.amplitudes + np.sin(theta) * np.exp(1j * phi) * tv.amplitudes
     assert np.max(np.abs(recon - tc.amplitudes)) < 1e-8
 
@@ -116,10 +115,10 @@ def test_reversibility():
     fwd = propagate(spec, basis_state(3, 1), t_final=3 * spec.period,
                     steps_per_period=800)
     final = fwd.amplitudes[-1].conj()
-    back = propagate(spec, StateVector(final), t_final=3 * spec.period,
+    back = propagate(spec, final, t_final=3 * spec.period,
                      steps_per_period=800)
     recovered = back.amplitudes[-1].conj()
-    start = basis_state(3, 1).amplitudes
+    start = basis_state(3, 1)
     assert np.max(np.abs(recovered - start)) < 1e-6
 
 
@@ -139,7 +138,7 @@ def test_floquet_mode_moduli_return_after_one_period():
     spec = spec3(a2=13.0)
     modes = floquet_modes(monodromy(spec, 1000))
     for mode in modes:
-        traj = propagate(spec, StateVector(mode.vector), t_final=spec.period,
+        traj = propagate(spec, mode.vector, t_final=spec.period,
                          steps_per_period=1000)
         assert np.max(np.abs(np.abs(traj.amplitudes[-1]) - np.abs(mode.vector))) < 1e-6
 
@@ -175,7 +174,7 @@ def test_stride_decimation_preserves_minima():
 def test_precondition_errors():
     spec = spec3()
     good = basis_state(3, 1)
-    bad = StateVector(np.array([0.9, 0.0, 0.0]))
+    bad = np.array([0.9, 0.0, 0.0])
     with pytest.raises(ValidationError, match="norm"):
         propagate(spec, bad, t_final=1.0)
     with pytest.raises(ValidationError, match="t_final"):
@@ -230,7 +229,7 @@ def test_folded_min_matches_direct():
     spec = spec3(a2=20.0)
     periods, spp = 10, 500
     table = one_period_table(spec, np.array([spec.a2]), spp, site=1)
-    a0 = basis_state(3, 1).amplitudes
+    a0 = basis_state(3, 1)
     folded, _ = folded_min_population(table, 0, a0, periods)
     direct = direct_propagate(spec, basis_state(3, 1), periods * spec.period,
                               steps_per_period=spp, stride=50)
@@ -241,7 +240,7 @@ def test_folded_series_matches_direct():
     spec = spec3(a2=24.0)
     periods, spp = 4, 500
     table = one_period_table(spec, np.array([spec.a2]), spp, site=1)
-    a0 = basis_state(3, 1).amplitudes
+    a0 = basis_state(3, 1)
     times, series = folded_population_series(table, 0, a0, periods, stride=1)
     direct = direct_propagate(spec, basis_state(3, 1), periods * spec.period,
                               steps_per_period=spp)
@@ -277,7 +276,7 @@ def test_folded_paths_equal_one_product_fold(periods):
     spec = SystemSpec(n_sites=4, omega0=1.0, nu0=0.0, a1=22.0, a2=0.0,
                       omega=10.0)
     table = one_period_table(spec, np.array([0.0, 20.0, 24.0]), 2000, site=1)
-    a0 = basis_state(4, 1).amplitudes
+    a0 = basis_state(4, 1)
     for point in range(3):
         low, _ = folded_min_population(table, point, a0, periods)
         assert low == one_product_min_population(table, point, a0, periods)
@@ -297,7 +296,7 @@ def test_folded_min_population_memory_is_bounded():
     spec = SystemSpec(n_sites=4, omega0=1.0, nu0=0.0, a1=22.0, a2=24.0,
                       omega=10.0)
     table = one_period_table(spec, np.array([spec.a2]), 2000, site=1)
-    a0 = basis_state(4, 1).amplitudes
+    a0 = basis_state(4, 1)
     tracemalloc.start()
     try:
         folded_min_population(table, 0, a0, 2000)
@@ -386,7 +385,7 @@ def test_understated_step_change_misses_the_minimum():
     # minimum behind one whose minimum clears that block's bound
     spec = spec3(a2=0.0)
     table = one_period_table(spec, np.array([0.0]), 500)
-    a0 = basis_state(3, 1).amplitudes
+    a0 = basis_state(3, 1)
     exact = one_product_min_population(table, 0, a0, 300)
     assert folded_min_population(table, 0, a0, 300)[0] == exact
     understated = dataclasses.replace(table, step_change=table.step_change / 10)
@@ -400,7 +399,7 @@ def test_step_change_bounds_every_step_of_the_recipes(figure):
     ratios = config.grid()[::60]  # a2/omega = 0, 1.5, 3, 4.5, 6
     table = one_period_table(spec, ratios * spec.omega, spp,
                              site=config.initial_site)
-    a0 = basis_state(spec.n_sites, config.initial_site).amplitudes
+    a0 = basis_state(spec.n_sites, config.initial_site)
     periods = min(config.horizon_periods, 200)
     h = spec.period / spp
     speed = np.hypot(spec.omega0, spec.nu0)  # ||H0[0, :]|| for site 1
@@ -460,7 +459,7 @@ def test_batched_period_starts_equal_the_per_point_loop(n_sites, points,
     spec = SystemSpec(n_sites=n_sites, omega0=1.0, nu0=0.2, a1=10.0, a2=0.0,
                       omega=10.0)
     table = one_period_table(spec, np.linspace(0.0, 10.0, points), 400)
-    a0 = basis_state(n_sites, 1).amplitudes
+    a0 = basis_state(n_sites, 1)
     size = len(_starts_group(table, 0, a0, periods).drift)
     for point in range(points):  # a scan's order: groups of size points
         group = _assert_group_serves(table, point, a0, periods)
@@ -492,7 +491,7 @@ def test_grouped_min_population_equals_one_product_fold(n_sites, points,
                       omega=10.0)
     table = one_period_table(spec, np.linspace(0.0, 10.0, points), 1025)
     assert _block_edges(1026, 9) == [(0, 9)]
-    a0 = basis_state(n_sites, 1).amplitudes
+    a0 = basis_state(n_sites, 1)
     for point in np.random.default_rng(order_seed).permutation(points):
         low, dev = folded_min_population(table, int(point), a0, periods)
         assert low == one_product_min_population(table, point, a0, periods)
@@ -512,7 +511,7 @@ def test_min_p1_group_stays_within_starts_bytes():
     spec = SystemSpec(n_sites=6, omega0=1.0, nu0=0.0, a1=22.0, a2=0.0,
                       omega=10.0)
     table = one_period_table(spec, np.linspace(0.0, 60.0, 24), 2000)
-    a0 = basis_state(6, 1).amplitudes
+    a0 = basis_state(6, 1)
     tracemalloc.start()
     try:
         for point in range(24):
@@ -532,12 +531,12 @@ def _small_table():
 def test_folded_series_rejects_bad_stride(stride):
     with pytest.raises(ValidationError, match="stride"):
         folded_population_series(_small_table(), 0,
-                                 basis_state(3, 1).amplitudes, 4, stride)
+                                 basis_state(3, 1), 4, stride)
 
 
 @pytest.mark.parametrize("periods", [0, -1, 2.0, True])
 def test_folded_paths_reject_bad_periods(periods):
-    table, a0 = _small_table(), basis_state(3, 1).amplitudes
+    table, a0 = _small_table(), basis_state(3, 1)
     with pytest.raises(ValidationError, match="periods"):
         folded_min_population(table, 0, a0, periods)
     with pytest.raises(ValidationError, match="periods"):
@@ -546,7 +545,7 @@ def test_folded_paths_reject_bad_periods(periods):
 
 @pytest.mark.parametrize("point", [-1, 2, 1.0, True])
 def test_folded_paths_reject_bad_point(point):
-    table, a0 = _small_table(), basis_state(3, 1).amplitudes
+    table, a0 = _small_table(), basis_state(3, 1)
     with pytest.raises(ValidationError, match="point"):
         folded_min_population(table, point, a0, 4)
     with pytest.raises(ValidationError, match="point"):
@@ -643,11 +642,10 @@ def test_propagate_matches_direct(n_sites, nu0, periods, stride):
     spp=st.sampled_from([240, 270, 300]),
     stride=st.sampled_from([7, 11, 13]),
     samples=st.integers(20, 60),
-    t0=st.floats(0.05, 1.5),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_propagate_matches_direct_property(n_sites, nu0, a1, a2, spp, stride,
-                                           samples, t0, seed):
+                                           samples, seed):
     # strides that divide no steps_per_period drawn here put stored samples
     # at every intra-period offset; horizons of samples * stride steps are
     # mostly not whole periods. At |a| <= 2 omega and >= 240 steps the RK4
@@ -656,8 +654,8 @@ def test_propagate_matches_direct_property(n_sites, nu0, a1, a2, spp, stride,
                       omega=10.0)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
-    initial = StateVector(amps / np.linalg.norm(amps), time=t0)
-    t_final = t0 + samples * stride * spec.period / spp
+    initial = amps / np.linalg.norm(amps)
+    t_final = samples * stride * spec.period / spp
     _assert_matches_direct(
         propagate(spec, initial, t_final, spp, stride),
         direct_propagate(spec, initial, t_final, spp, stride),
