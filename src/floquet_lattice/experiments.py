@@ -126,7 +126,8 @@ class ScanResult:
 
 
 def landmark_zeros(start: float, stop: float) -> list[float]:
-    """Zeros of J_0 that fall inside [start, stop] (first five at most)."""
+    """Zeros of J_0 that fall inside [start, stop] (the first
+    MAX_ZERO_INDEX at most; scan_spectrum warns when stop lies beyond)."""
     zeros = []
     for n in range(1, MAX_ZERO_INDEX + 1):
         z = j0_zero(n)
@@ -236,6 +237,12 @@ def scan_spectrum(
         landmarks=landmarks,
         warnings=list(branch_set.warnings),
     )
+    last_zero = j0_zero(MAX_ZERO_INDEX)
+    if config.grid_stop > last_zero:
+        result.warnings.append(
+            f"the grid reaches past {last_zero!r}, the last tabulated J0 "
+            f"zero; zeros beyond it get no landmark"
+        )
     if not classify:
         return result
 

@@ -39,7 +39,7 @@ def test_unknown_flag(capsys):
 def test_bessel_value_and_zero(capsys):
     assert main(["bessel", "--order", "0", "--x", "2.2"]) == 0
     out = capsys.readouterr().out
-    assert "0.11036226692217384" in out
+    assert "0.11036226692217398" in out
     assert main(["bessel", "--zero", "1"]) == 0
     assert "2.404825557695" in capsys.readouterr().out
 
@@ -425,14 +425,21 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == "0.1.0"
 
 
-def test_import_leaves_out_scipy_optimize():
-    # importing scipy.optimize costs about 20 MB of peak memory
+@pytest.mark.parametrize("module", ["scipy.optimize", "scipy.special"])
+def test_import_leaves_out(module):
+    # importing scipy.optimize costs about 20 MB of peak memory, and
+    # scipy.special about 2.5 MB; a scan that needs only the J0 zeros as
+    # landmarks loads neither
     import floquet_lattice
 
     src = os.path.dirname(os.path.dirname(floquet_lattice.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, floquet_lattice, floquet_lattice.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "from dataclasses import replace; "
+            "floquet_lattice.landmark_zeros(0.0, 6.0); "
+            "config = floquet_lattice.figure_scan_config('fig4'); "
+            "floquet_lattice.scan_min_p1(replace(config, grid_points=5)); "
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"

@@ -234,6 +234,19 @@ def test_spectrum_scan_dark_branch_and_classification():
     assert cls["gap"] > 0.05
 
 
+def test_spectrum_scan_warns_past_the_last_tabulated_zero():
+    def warned(stop):
+        config = ScanConfig(base_spec=spec_n(3), grid_start=stop - 0.4,
+                            grid_stop=stop, grid_points=5, horizon_periods=5,
+                            steps_per_period=2000)
+        result = scan_spectrum(config, classify=True)
+        return [w for w in result.warnings if "last tabulated J0 zero" in w]
+
+    assert warned(6.0) == []
+    [warning] = warned(15.2)
+    assert repr(j0_zero(5)) in warning
+
+
 def test_spectrum_scan_refines_grid_near_zeros():
     config = ScanConfig(base_spec=spec_n(3), grid_start=2.2, grid_stop=2.6,
                         grid_points=9, horizon_periods=5, steps_per_period=500)

@@ -36,7 +36,6 @@ def test_quadrature_agreement_random_points():
 
 
 def test_series_asymptotic_boundary():
-    # straddle the internal method switch with the independent oracle
     for k in range(11):
         for x in np.linspace(13.5, 14.5, 21):
             assert abs(bessel_j(k, float(x)) - bessel_quadrature(k, float(x))) < 1e-10
@@ -83,14 +82,44 @@ def test_zero_bracketing(n):
 
 @pytest.mark.parametrize(
     "k,x",
-    [(11, 1.0), (-1, 1.0), (0, 60.5), (0, -61.0), (0, float("nan"))],
+    [(11, 1.0), (-1, 1.0), (0, 60.5), (0, -61.0), (0, float("nan")),
+     (True, 1.0), (1.0, 1.0)],
 )
 def test_domain_errors(k, x):
     with pytest.raises(ValidationError):
         bessel_j(k, x)
 
 
-@pytest.mark.parametrize("n", [0, 6, -1])
+@pytest.mark.parametrize("n", [0, 6, -1, True, False, 2.0])
 def test_zero_index_errors(n):
     with pytest.raises(ValidationError):
         j0_zero(n)
+
+
+def test_numpy_integers_are_accepted():
+    assert j0_zero(np.int64(2)) == j0_zero(2)
+    assert bessel_j(np.int64(0), 1.0) == bessel_j(0, 1.0)
+    assert bessel_j(np.int32(3), -2.5) == bessel_j(3, -2.5)
+
+
+def test_against_mpmath_on_criterion_9_draws():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)  # the draws of acceptance criterion 9
+    points = [(int(rng.integers(0, 11)), float(rng.uniform(0.0, 60.0)))
+              for _ in range(1000)]
+    points += [(k, 0.0) for k in range(11)]
+    with mpmath.workdps(30):
+        worst = max(abs(bessel_j(k, x) - float(mpmath.besselj(k, x)))
+                    for k, x in points)
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_zero_is_correctly_rounded(n):
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import jn_zeros
+
+    z = j0_zero(n)
+    with mpmath.workdps(30):
+        assert z == float(mpmath.besseljzero(0, n))
+    assert abs(z - jn_zeros(0, 5)[n - 1]) <= np.spacing(z)
