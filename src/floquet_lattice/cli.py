@@ -23,9 +23,9 @@ from .errors import (
 )
 from .experiments import (
     ScanConfig,
+    check_out_dir,
     reproduce,
-    scan_min_p1,
-    scan_spectrum,
+    run_recipe,
     write_manifest,
 )
 from .floquet import floquet_modes, monodromy
@@ -145,22 +145,9 @@ def _workers(args) -> int:
     return os.cpu_count() or 1
 
 
-def _check_out(out: Path) -> None:
-    """Fail before any work unless ``out`` is a writable directory or can
-    be made one: the nearest existing path at or above it must be a
-    writable directory. Nothing is created, so a failed run leaves no
-    directory behind."""
-    probe = out.absolute()
-    while not probe.exists() and probe != probe.parent:
-        probe = probe.parent
-    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
-        raise ValidationError(f"--out {str(out)!r}: {str(probe)!r} is not "
-                              "a writable directory")
-
-
 def _cmd_propagate(args) -> int:
     spec = _load_spec(args)
-    _check_out(args.out)
+    check_out_dir(args.out)
     started = time.perf_counter()
     traj = propagate(
         spec,
@@ -189,7 +176,7 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_floquet(args) -> int:
     spec = _load_spec(args)
-    _check_out(args.out)
+    check_out_dir(args.out)
     started = time.perf_counter()
     op = monodromy(spec, steps_per_period=args.steps_per_period)
     modes = floquet_modes(op)
@@ -211,60 +198,20 @@ def _cmd_floquet(args) -> int:
     return 0
 
 
-def _scan_config(args, spec: SystemSpec, **fields) -> ScanConfig:
+def _cmd_scan(args) -> int:
+    """scan-minp1 and scan-spectrum: a one-panel recipe over --grid."""
+    spec = _load_spec(args)
     start, stop, points = _parse_grid(args.grid)
-    return ScanConfig(
-        base_spec=spec,
-        grid_start=start,
-        grid_stop=stop,
-        grid_points=points,
-        steps_per_period=args.steps_per_period,
-        **fields,
-    )
-
-
-def _cmd_scan_minp1(args) -> int:
-    spec = _load_spec(args)
-    config = _scan_config(args, spec, horizon_periods=args.periods,
-                          initial_site=args.initial_site)
-    workers = _workers(args)
-    _check_out(args.out)
-    started = time.perf_counter()
-    result = scan_min_p1(config, workers=workers)
-    args.out.mkdir(parents=True, exist_ok=True)
-    csvio.write_min_p1_scan(args.out / "minp1.csv", result.ratios, result.min_p1)
-    write_manifest(args.out, {
-        "command": "scan-minp1",
-        **config.to_json_dict(),
-        "overrides": _parse_overrides(args.overrides),
-        "workers": workers,
-        "landmarks": result.landmarks,
-        "max_norm_deviation": result.max_norm_deviation,
-        "outputs": ["minp1.csv"],
-    }, started)
-    return 0
-
-
-def _cmd_scan_spectrum(args) -> int:
-    spec = _load_spec(args)
-    config = _scan_config(args, spec)
-    workers = _workers(args)
-    _check_out(args.out)
-    started = time.perf_counter()
-    result = scan_spectrum(config, workers=workers)
-    args.out.mkdir(parents=True, exist_ok=True)
-    csvio.write_spectrum(args.out / "spectrum.csv", result.ratios,
-                         result.branch_set.branches, include_residual=True)
-    write_manifest(args.out, {
-        "command": "scan-spectrum",
-        **config.to_json_dict(),
-        "overrides": _parse_overrides(args.overrides),
-        "workers": workers,
-        "landmarks": result.landmarks,
-        "classifications": result.classifications,
-        "warnings": result.warnings,
-        "outputs": ["spectrum.csv"],
-    }, started)
+    minp1 = args.command == "scan-minp1"
+    horizon = ({"horizon_periods": args.periods,
+                "initial_site": args.initial_site} if minp1 else {})
+    config = ScanConfig(base_spec=spec, grid_start=start, grid_stop=stop,
+                        grid_points=points,
+                        steps_per_period=args.steps_per_period, **horizon)
+    run_recipe({"minp1_scan" if minp1 else "spectrum_scan": True}, config,
+               args.out, _workers(args),
+               {"command": args.command,
+                "overrides": _parse_overrides(args.overrides)})
     return 0
 
 
@@ -298,8 +245,8 @@ def _cmd_bessel(args) -> int:
 _COMMANDS = {
     "propagate": _cmd_propagate,
     "floquet": _cmd_floquet,
-    "scan-minp1": _cmd_scan_minp1,
-    "scan-spectrum": _cmd_scan_spectrum,
+    "scan-minp1": _cmd_scan,
+    "scan-spectrum": _cmd_scan,
     "reproduce": _cmd_reproduce,
     "bessel": _cmd_bessel,
 }

@@ -90,8 +90,8 @@ def write_min_p1_scan(path, ratios, min_p1) -> None:
     _write_floats(path, "a2_over_omega,min_p1", [ratios, min_p1])
 
 
-def write_spectrum(path, ratios, branches, include_residual: bool = False) -> None:
-    """Branch CSV: a2_over_omega,branch_id,quasienergy,avg_p1..avg_pN[,residual].
+def write_spectrum(path, ratios, branches) -> None:
+    """Branch CSV: a2_over_omega,branch_id,quasienergy,avg_p1..avg_pN,residual.
 
     One row per grid point and branch, the branches of a point in order.
     """
@@ -100,19 +100,16 @@ def write_spectrum(path, ratios, branches, include_residual: bool = False) -> No
     n_rows = len(ratios) * nb
     header = "a2_over_omega,branch_id,quasienergy," + ",".join(
         f"avg_p{j}" for j in range(1, n + 1)
-    )
+    ) + ",residual"
     quasienergies = np.stack([br.quasienergies for br in branches], axis=1)
     populations = np.stack([br.avg_populations for br in branches], axis=1)
-    columns = [
+    _write_columns(path, header, n_rows, [
         (ratios, nb),
         ([br.branch_id for br in branches], 1),
         (quasienergies, 1),
         *((col, 1) for col in populations.reshape(n_rows, n).T),
-    ]
-    if include_residual:
-        header += ",residual"
-        columns.append((np.stack([br.residuals for br in branches], axis=1), 1))
-    _write_columns(path, header, n_rows, columns)
+        (np.stack([br.residuals for br in branches], axis=1), 1),
+    ])
 
 
 def write_modes(path, param, modes) -> None:

@@ -7,8 +7,9 @@ the grid, and classifies the closest branch approaches near each landmark
 as crossings or avoided crossings.
 
 Canonical figure parameter sets live in bundled JSON config files so every
-reproduction run is auditable; ``reproduce`` executes one of them and
-writes per-panel CSV data plus a JSON manifest sufficient to rerun it.
+reproduction run is auditable. ``run_recipe`` runs a recipe's panels and
+writes per-panel CSV data plus a JSON manifest sufficient to rerun it;
+``reproduce`` and the CLI scan commands both go through it.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class ScanResult:
 
 def landmark_zeros(start: float, stop: float) -> list[float]:
     """Zeros of J_0 that fall inside [start, stop] (the first
-    MAX_ZERO_INDEX at most; scan_spectrum warns when stop lies beyond)."""
+    MAX_ZERO_INDEX at most; the scans warn when stop lies beyond)."""
     zeros = []
     for n in range(1, MAX_ZERO_INDEX + 1):
         z = j0_zero(n)
@@ -136,6 +137,18 @@ def landmark_zeros(start: float, stop: float) -> list[float]:
         if z >= start:
             zeros.append(z)
     return zeros
+
+
+def _landmarks(config: ScanConfig) -> tuple[list[float], list[str]]:
+    """(J_0 zeros inside the grid, warnings): a grid that reaches past the
+    last tabulated zero gets a warning, since zeros beyond it get no
+    landmark."""
+    zeros = landmark_zeros(config.grid_start, config.grid_stop)
+    last_zero = j0_zero(MAX_ZERO_INDEX)
+    if config.grid_stop <= last_zero:
+        return zeros, []
+    return zeros, [f"the grid reaches past {last_zero!r}, the last tabulated "
+                   f"J0 zero; zeros beyond it get no landmark"]
 
 
 def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
@@ -181,11 +194,13 @@ def scan_min_p1(config: ScanConfig, workers: int = 1) -> ScanResult:
             completed,
         ) from failure
 
+    landmarks, warnings = _landmarks(config)
     return ScanResult(
         config=config,
         ratios=ratios,
         min_p1=out,
-        landmarks=landmark_zeros(config.grid_start, config.grid_stop),
+        landmarks=landmarks,
+        warnings=warnings,
         max_norm_deviation=max_dev,
     )
 
@@ -224,7 +239,7 @@ def scan_spectrum(
     (0.2) of every J_0 zero in range, and the closest branch approach near
     each zero is refined and labelled crossing/avoided.
     """
-    landmarks = landmark_zeros(config.grid_start, config.grid_stop)
+    landmarks, past_last_zero = _landmarks(config)
     ratios = _refined_ratios(config, landmarks) if classify else config.grid()
     spec = config.base_spec
     branch_set = track_branches(spec, ratios * spec.omega,
@@ -235,14 +250,9 @@ def scan_spectrum(
         ratios=ratios,
         branch_set=branch_set,
         landmarks=landmarks,
-        warnings=list(branch_set.warnings),
+        warnings=branch_set.warnings + past_last_zero,
+        max_norm_deviation=branch_set.max_norm_deviation,
     )
-    last_zero = j0_zero(MAX_ZERO_INDEX)
-    if config.grid_stop > last_zero:
-        result.warnings.append(
-            f"the grid reaches past {last_zero!r}, the last tabulated J0 "
-            f"zero; zeros beyond it get no landmark"
-        )
     if not classify:
         return result
 
@@ -320,21 +330,16 @@ def _folded_series(config, ratios, periods: int, stride: int):
     return folds[0][0], np.array([values for _, values in folds])
 
 
-def _series_outputs(raw, config, out_dir) -> list[str]:
+def _series_outputs(series, config, output) -> None:
     """Per-showcase-amplitude population series panels."""
-    series = raw["series"]
     ratios = np.asarray(series["a2_over_omega"], dtype=float)
     times, grid = _folded_series(config, ratios, int(series["periods"]),
                                  int(series["stride"]))
-    names = []
     for r, values in zip(ratios, grid):
-        name = f"series_r{csvio.fmt(float(r))}.csv"
         csvio.write_population_series(
-            out_dir / name, times, values,
+            output(f"series_r{csvio.fmt(float(r))}.csv"), times, values,
             comment=f"a2_over_omega={csvio.fmt(float(r))}",
         )
-        names.append(name)
-    return names
 
 
 def _check_averaged_model(config: ScanConfig) -> None:
@@ -349,25 +354,98 @@ def _check_averaged_model(config: ScanConfig) -> None:
         effective_params(spec.replace(a2=float(a2)))
 
 
-def _heatmap_outputs(raw, config, out_dir) -> list[str]:
+def _heatmap_outputs(heat, config, output) -> None:
     """Numeric and averaged-model P1(t, a2) long-form heatmap data."""
-    heat = raw["heatmap"]
     spec = config.base_spec
     ratios = config.grid()
     a2_values = ratios * spec.omega
     times, grid = _folded_series(config, ratios, int(heat["periods"]),
                                  int(heat["stride"]))
-    csvio.write_heatmap(out_dir / "heatmap_numeric.csv", times, a2_values, grid)
+    csvio.write_heatmap(output("heatmap_numeric.csv"), times, a2_values, grid)
 
     ana = np.empty_like(grid)
     for i, a2 in enumerate(a2_values):
         ana[i] = analytic_p1(effective_params(spec.replace(a2=float(a2))),
                              times)
     csvio.write_heatmap(
-        out_dir / "heatmap_analytic.csv", times, a2_values, ana,
+        output("heatmap_analytic.csv"), times, a2_values, ana,
         comment="frame=rotating",
     )
-    return ["heatmap_numeric.csv", "heatmap_analytic.csv"]
+
+
+def check_out_dir(out_dir) -> None:
+    """Fail before any work unless ``out_dir`` is a writable directory or
+    can be made one: the nearest existing path at or above it must be a
+    writable directory. Nothing is created, so a failed run leaves no
+    directory behind."""
+    probe = Path(out_dir).absolute()
+    while not probe.exists() and probe != probe.parent:
+        probe = probe.parent
+    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+        raise ValidationError(f"output directory {str(out_dir)!r}: "
+                              f"{str(probe)!r} is not a writable directory")
+
+
+def run_recipe(recipe: dict, config: ScanConfig, out_dir, workers: int,
+               head: dict) -> dict:
+    """Run a recipe's panels (``minp1_scan``, ``spectrum_scan``, ``series``,
+    ``heatmap``, in that order) on ``config``; returns the manifest dict.
+
+    Every input is checked before any work, and ``out_dir`` is created when
+    the first file is written. Data files are byte-identical across reruns
+    and worker counts. The manifest is ``head``, the ScanConfig, the scans'
+    landmarks, classifications, warnings (each once) and worst norm drift,
+    and the files written.
+    """
+    require_int("workers", workers, 1)
+    if "heatmap" in recipe:
+        _check_averaged_model(config)
+    for panel in ("series", "heatmap"):
+        if panel in recipe:
+            check_stride(int(recipe[panel]["stride"]), config.steps_per_period)
+    out_dir = Path(out_dir)
+    check_out_dir(out_dir)
+
+    started = time.perf_counter()
+    outputs: list[str] = []
+    results: list[ScanResult] = []
+    manifest = {}
+
+    def output(name: str) -> Path:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs.append(name)
+        return out_dir / name
+
+    if recipe.get("minp1_scan"):
+        result = scan_min_p1(config, workers=workers)
+        csvio.write_min_p1_scan(output("minp1.csv"), result.ratios,
+                                result.min_p1)
+        results.append(result)
+        if config.base_spec.n_sites == 3 and config.base_spec.nu0 == 0.0:
+            manifest["min_p1_oracle_gap"] = _min_curve_oracle_gap(config,
+                                                                  result)
+    if recipe.get("spectrum_scan"):
+        result = scan_spectrum(config, workers=workers)
+        csvio.write_spectrum(output("spectrum.csv"), result.ratios,
+                             result.branch_set.branches)
+        results.append(result)
+    if "series" in recipe:
+        _series_outputs(recipe["series"], config, output)
+    if "heatmap" in recipe:
+        _heatmap_outputs(recipe["heatmap"], config, output)
+
+    manifest.update({
+        **head,
+        **config.to_json_dict(),
+        "workers": workers,
+        "landmarks": results[0].landmarks if results else [],
+        "classifications": [c for r in results for c in r.classifications],
+        "warnings": list(dict.fromkeys(w for r in results for w in r.warnings)),
+        "max_norm_deviation": max((r.max_norm_deviation for r in results),
+                                  default=0.0),
+        "outputs": outputs,
+    })
+    return write_manifest(out_dir, manifest, started)
 
 
 def reproduce(
@@ -376,71 +454,13 @@ def reproduce(
     workers: int = 1,
     overrides: dict[str, str] | None = None,
 ) -> dict:
-    """Run one canonical figure recipe; returns the manifest dict.
-
-    Writes per-panel CSV files and manifest.json into ``out_dir``. Data
-    files are byte-identical across reruns and worker counts; wall time and
-    worker count are recorded in the manifest only.
-    """
+    """Run one canonical figure recipe (``run_recipe``); returns the
+    manifest dict, headed by the figure id and the overrides."""
     overrides = overrides or {}
-    raw = figure_config(figure_id)
-    config = _apply_overrides(ScanConfig.from_json_dict(raw), overrides)
-    require_int("workers", workers, 1)
-    if "heatmap" in raw:
-        _check_averaged_model(config)
-    for panel in ("series", "heatmap"):
-        if panel in raw:
-            check_stride(int(raw[panel]["stride"]), config.steps_per_period)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    started = time.perf_counter()
-    outputs: list[str] = []
-    result_min = None
-    result_spec = None
-
-    min_curve_gap = None
-    if raw.get("minp1_scan"):
-        result_min = scan_min_p1(config, workers=workers)
-        csvio.write_min_p1_scan(
-            out_dir / "minp1.csv", result_min.ratios, result_min.min_p1
-        )
-        outputs.append("minp1.csv")
-        if config.base_spec.n_sites == 3 and config.base_spec.nu0 == 0.0:
-            min_curve_gap = _min_curve_oracle_gap(config, result_min)
-    if raw.get("spectrum_scan"):
-        result_spec = scan_spectrum(config, workers=workers)
-        csvio.write_spectrum(
-            out_dir / "spectrum.csv", result_spec.ratios,
-            result_spec.branch_set.branches,
-        )
-        outputs.append("spectrum.csv")
-    if "series" in raw:
-        outputs.extend(_series_outputs(raw, config, out_dir))
-    if "heatmap" in raw:
-        outputs.extend(_heatmap_outputs(raw, config, out_dir))
-
-    landmarks = landmark_zeros(config.grid_start, config.grid_stop)
-    manifest = {
-        "figure": figure_id,
-        **config.to_json_dict(),
-        "workers": workers,
-        "overrides": overrides,
-        "landmarks": landmarks,
-        "classifications": (
-            result_spec.classifications if result_spec is not None else []
-        ),
-        "warnings": (
-            list(result_spec.warnings) if result_spec is not None else []
-        ),
-        "max_norm_deviation": (
-            result_min.max_norm_deviation if result_min is not None else 0.0
-        ),
-        "outputs": outputs,
-    }
-    if min_curve_gap is not None:
-        manifest["min_p1_oracle_gap"] = min_curve_gap
-    return write_manifest(out_dir, manifest, started)
+    recipe = figure_config(figure_id)
+    config = _apply_overrides(ScanConfig.from_json_dict(recipe), overrides)
+    return run_recipe(recipe, config, out_dir, workers,
+                      {"figure": figure_id, "overrides": overrides})
 
 
 def write_manifest(out_dir, payload: dict, started: float) -> dict:

@@ -161,13 +161,16 @@ class Branch:
 @dataclass
 class BranchSet:
     """Branches on one a2 grid (``param_values``); every grid point has the
-    other fields of ``base_spec`` and was integrated at ``steps_per_period``."""
+    other fields of ``base_spec`` and was integrated at ``steps_per_period``.
+    ``max_norm_deviation`` is the basis sweep's worst norm drift over the
+    grid."""
 
     param_values: np.ndarray
     base_spec: SystemSpec
     steps_per_period: int
     branches: list[Branch]
     warnings: list[str]
+    max_norm_deviation: float
 
 
 def _unpruned_matchings(overlap: list[list[float]]) -> list[tuple]:
@@ -262,8 +265,8 @@ def _best_permutation(prev_vecs, next_vecs, prev_eps, next_eps, omega):
 
 def _modes_bulk(base_spec: SystemSpec, params: np.ndarray, idx: np.ndarray,
                 steps_per_period: int):
-    """Quasi-energies, eigenvectors, populations, and residuals at the grid
-    points ``idx`` of the a2 grid ``params``.
+    """Quasi-energies, eigenvectors, populations, residuals and the sweep's
+    worst norm drift at the grid points ``idx`` of the a2 grid ``params``.
 
     One basis sweep gives every point's U and one period average covers
     every mode of every point; both are row-local, so results do not depend
@@ -271,7 +274,7 @@ def _modes_bulk(base_spec: SystemSpec, params: np.ndarray, idx: np.ndarray,
     index in the whole grid and its a2.
     """
     a2_values = params[idx]
-    us, _ = basis_sweep(base_spec, a2_values, steps_per_period)
+    us, max_dev = basis_sweep(base_spec, a2_values, steps_per_period)
     modes = []
     for i, u in zip(idx, us):
         where = f" at grid point {i} (a2={float(params[i])!r})"
@@ -279,7 +282,7 @@ def _modes_bulk(base_spec: SystemSpec, params: np.ndarray, idx: np.ndarray,
         modes.append(_sorted_modes(u, base_spec.omega, where))
     eps, vecs, resid = (np.array(arrays) for arrays in zip(*modes))
     pops = period_average(base_spec, a2_values, vecs, steps_per_period)
-    return eps, vecs, pops, resid
+    return eps, vecs, pops, resid, max_dev
 
 
 def track_branches(
@@ -318,7 +321,8 @@ def track_branches(
         lambda idx: _modes_bulk(base_spec, params, idx, steps_per_period),
         p, workers,
     )
-    eps, vecs, pops, resid = (np.concatenate(arrays) for arrays in zip(*parts))
+    *arrays, devs = zip(*parts)
+    eps, vecs, pops, resid = map(np.concatenate, arrays)
 
     warnings: list[str] = []
     order = np.arange(n)
@@ -346,7 +350,7 @@ def track_branches(
                                residuals=resid[at]))
     return BranchSet(param_values=params, base_spec=base_spec,
                      steps_per_period=steps_per_period, branches=branches,
-                     warnings=warnings)
+                     warnings=warnings, max_norm_deviation=max(devs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from floquet_lattice import cli
+from floquet_lattice import SystemSpec, cli, experiments
 from floquet_lattice.cli import main
+from floquet_lattice.propagator import basis_sweep
 
 
 @pytest.fixture()
@@ -177,6 +178,54 @@ def test_scan_spectrum_cli(tmp_path, spec_file):
     assert len(manifest["classifications"]) == 1
 
 
+def test_scan_and_recipe_manifests_share_one_key_set(tmp_path, spec_file):
+    grid, steps = ["--grid", "2.3:2.5:5"], ["--steps-per-period", "500"]
+    runs = {
+        "scan-minp1": ["scan-minp1", "--config", str(spec_file), *grid,
+                       "--periods", "5", *steps],
+        "scan-spectrum": ["scan-spectrum", "--config", str(spec_file), *grid,
+                          *steps],
+        "reproduce": ["reproduce", "fig3", "--set", "grid_start=2.3",
+                      "--set", "grid_stop=2.5", "--set", "grid_points=5",
+                      "--set", "steps_per_period=500"],
+    }
+    keys = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        keys[name] = set(manifest) - {"command", "figure", "min_p1_oracle_gap"}
+        assert all((out / f).is_file() for f in manifest["outputs"])
+    assert keys["scan-minp1"] == keys["scan-spectrum"] == keys["reproduce"]
+    assert {"landmarks", "classifications", "warnings", "max_norm_deviation",
+            "outputs", "workers", "overrides"} <= keys["reproduce"]
+
+
+def test_spectrum_manifest_reports_the_sweep_norm_drift(tmp_path, spec_file):
+    out = tmp_path / "spec"
+    assert main(["scan-spectrum", "--config", str(spec_file),
+                 "--grid", "2.3:2.5:5", "--steps-per-period", "500",
+                 "--workers", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+    ratios = sorted({float(row.split(",")[0]) for row in rows})
+    _, drift = basis_sweep(SystemSpec(**manifest["spec"]),
+                           [r * 10.0 for r in ratios], 500)
+    assert manifest["max_norm_deviation"] == drift > 0.0
+
+
+def test_scan_minp1_manifest_warns_past_the_last_tabulated_zero(tmp_path,
+                                                                spec_file):
+    out = tmp_path / "wide"
+    assert main(["scan-minp1", "--config", str(spec_file),
+                 "--grid", "0:20:3", "--periods", "2", "--workers", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["landmarks"]) == 5
+    [warning] = manifest["warnings"]
+    assert "last tabulated J0 zero" in warning
+
+
 def test_bad_grid_flag(tmp_path, spec_file, capsys):
     assert main(["scan-minp1", "--config", str(spec_file),
                  "--grid", "0-6-241", "--out", str(tmp_path)]) == 1
@@ -229,7 +278,8 @@ def test_floquet_out_is_an_existing_file(tmp_path, spec_file, capsys):
 def test_out_is_checked_before_any_work(tmp_path, spec_file, capsys,
                                         monkeypatch, command, work, below):
     calls = []
-    monkeypatch.setattr(cli, work, lambda *a, **k: calls.append(a))
+    module = experiments if command.startswith("scan") else cli
+    monkeypatch.setattr(module, work, lambda *a, **k: calls.append(a))
     taken = tmp_path / "taken"
     taken.write_text("")
     out = taken / "x" if below else taken
@@ -247,6 +297,20 @@ def test_reproduce_out_below_a_file(tmp_path, capsys):
                  "--out", str(taken / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_reproduce_failure_in_its_first_panel_writes_nothing(tmp_path,
+                                                            capsys):
+    # fig3's one panel is the spectrum sweep, whose norm gate fails at
+    # a2 = 60 with 100 steps per period
+    out = tmp_path / "out"
+    code = main(["reproduce", "fig3", "--set", "grid_points=3",
+                 "--set", "steps_per_period=100", "--workers", "1",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "norm drift" in err and "at a2=60.0" in err
+    assert not out.exists()
 
 
 def test_scan_failure_keeps_completed_points_and_writes_nothing(tmp_path,

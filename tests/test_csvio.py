@@ -187,14 +187,13 @@ def _heatmap(path, t):
                             np.ravel(t)))
 
 
-def _spectrum(path, t, include_residual):
+def _spectrum(path, t):
     branches = [Branch(branch_id=b, quasienergies=t[:, 1 + b],
                        vectors=np.zeros((len(t), 2), dtype=complex),
                        avg_populations=t[:, 3:5], residuals=t[:, 2 - b])
                 for b in range(2)]
-    write_spectrum(path, t[:, 0], branches, include_residual)
-    return [[t[i, 0], b, t[i, 1 + b], t[i, 3], t[i, 4]]
-            + ([t[i, 2 - b]] if include_residual else [])
+    write_spectrum(path, t[:, 0], branches)
+    return [[t[i, 0], b, t[i, 1 + b], t[i, 3], t[i, 4], t[i, 2 - b]]
             for i in range(len(t)) for b in range(2)]
 
 
@@ -208,11 +207,9 @@ def _modes(path, t):
 
 
 @pytest.mark.parametrize("write", [
-    _trajectory, _series, _min_p1, _monodromy, _heatmap, _modes,
-    lambda path, t: _spectrum(path, t, include_residual=False),
-    lambda path, t: _spectrum(path, t, include_residual=True),
+    _trajectory, _series, _min_p1, _monodromy, _heatmap, _modes, _spectrum,
 ], ids=["trajectory", "series", "min_p1", "monodromy", "heatmap", "modes",
-        "spectrum", "spectrum_residual"])
+        "spectrum"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(table=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(5)),
                     elements=st.floats(allow_subnormal=True)

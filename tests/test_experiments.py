@@ -247,6 +247,30 @@ def test_spectrum_scan_warns_past_the_last_tabulated_zero():
     assert repr(j0_zero(5)) in warning
 
 
+def test_min_p1_scan_warns_past_the_last_tabulated_zero():
+    def warned(stop):
+        config = small_config(grid_stop=stop, horizon_periods=2,
+                              steps_per_period=2000)
+        return scan_min_p1(config).warnings
+
+    assert warned(6.0) == []
+    [warning] = warned(20.0)
+    assert "last tabulated J0 zero" in warning and repr(j0_zero(5)) in warning
+
+
+def test_spectrum_scan_reports_the_sweep_norm_drift():
+    # the drift basis_sweep reports over the scan's grid, the refined
+    # windows included, whatever the worker count
+    config = small_config(grid_start=2.2, grid_stop=2.6, grid_points=5)
+    spec = config.base_spec
+    for workers in (1, 2):
+        result = scan_spectrum(config, workers=workers)
+        _, drift = basis_sweep(spec, result.ratios * spec.omega,
+                               config.steps_per_period)
+        assert result.max_norm_deviation == drift > 0.0
+        assert result.branch_set.max_norm_deviation == drift
+
+
 def test_spectrum_scan_refines_grid_near_zeros():
     config = ScanConfig(base_spec=spec_n(3), grid_start=2.2, grid_stop=2.6,
                         grid_points=9, horizon_periods=5, steps_per_period=500)
@@ -313,7 +337,8 @@ def test_reproduce_small_override(tmp_path):
     on_disk = json.loads((out / "manifest.json").read_text())
     assert on_disk["tool_version"] == manifest["tool_version"]
     header = (out / "spectrum.csv").read_text().splitlines()[0]
-    assert header == "a2_over_omega,branch_id,quasienergy,avg_p1,avg_p2,avg_p3"
+    assert header == ("a2_over_omega,branch_id,quasienergy,avg_p1,avg_p2,"
+                      "avg_p3,residual")
 
 
 def test_reproduce_rerun_is_byte_identical(tmp_path):

@@ -361,7 +361,8 @@ def _branch_set(rows, params):
         param_values=np.asarray(params, dtype=float),
         base_spec=SystemSpec(n_sites=n, omega0=1.0, nu0=0.0, a1=0.0, a2=0.0,
                              omega=10.0),
-        steps_per_period=500, branches=branches, warnings=[])
+        steps_per_period=500, branches=branches, warnings=[],
+        max_norm_deviation=0.0)
 
 
 def _everywhere(branch_set):
