@@ -187,14 +187,14 @@ def _heatmap(path, t):
                             np.ravel(t)))
 
 
-def _spectrum(path, t):
+def _spectrum(path, t, n_branches):
     branches = [Branch(branch_id=b, quasienergies=t[:, 1 + b],
                        vectors=np.zeros((len(t), 2), dtype=complex),
                        avg_populations=t[:, 3:5], residuals=t[:, 2 - b])
-                for b in range(2)]
+                for b in range(n_branches)]
     write_spectrum(path, t[:, 0], branches)
     return [[t[i, 0], b, t[i, 1 + b], t[i, 3], t[i, 4], t[i, 2 - b]]
-            for i in range(len(t)) for b in range(2)]
+            for i in range(len(t)) for b in range(n_branches)]
 
 
 def _modes(path, t):
@@ -207,9 +207,12 @@ def _modes(path, t):
 
 
 @pytest.mark.parametrize("write", [
-    _trajectory, _series, _min_p1, _monodromy, _heatmap, _modes, _spectrum,
+    _trajectory, _series, _min_p1, _monodromy, _heatmap, _modes,
+    # one branch, then two whose residuals each stay on their own row
+    lambda path, t: _spectrum(path, t, n_branches=1),
+    lambda path, t: _spectrum(path, t, n_branches=2),
 ], ids=["trajectory", "series", "min_p1", "monodromy", "heatmap", "modes",
-        "spectrum"])
+        "spectrum", "spectrum_residual"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(table=arrays(np.float64, st.tuples(st.integers(1, 4), st.just(5)),
                     elements=st.floats(allow_subnormal=True)
