@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import __version__, csvio
@@ -21,13 +20,7 @@ from .errors import (
     ScanInterrupted,
     ValidationError,
 )
-from .experiments import (
-    ScanConfig,
-    check_out_dir,
-    reproduce,
-    run_recipe,
-    write_manifest,
-)
+from .experiments import Run, ScanConfig, reproduce, run_recipe
 from .floquet import floquet_modes, monodromy
 from .model import SystemSpec, apply_spec_overrides, spec_from_json
 from .propagator import DEFAULT_STEPS_PER_PERIOD, basis_state, propagate
@@ -41,19 +34,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, scan: bool = False) -> None:
-    p.add_argument("--config", type=Path, help="system spec JSON file")
+def _add_run(p: argparse.ArgumentParser, workers: bool) -> None:
+    """Options of every command that writes a run."""
     p.add_argument("--out", type=Path, default=Path("out"),
                    help="output directory (default: out)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override a spec field")
+                   metavar="KEY=VALUE", help="override a spec or recipe field")
+    if workers:
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker count (default: usable CPUs)")
+
+
+def _add_common(p: argparse.ArgumentParser, scan: bool = False) -> None:
+    _add_run(p, workers=scan)
+    p.add_argument("--config", type=Path, help="system spec JSON file")
     p.add_argument("--steps-per-period", type=int,
                    default=DEFAULT_STEPS_PER_PERIOD)
     if scan:
         p.add_argument("--grid", default="0:6:241", metavar="START:STOP:POINTS",
                        help="a2/omega grid (default: 0:6:241)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default: usable CPUs)")
 
 
 def _add_horizon(p: argparse.ArgumentParser) -> None:
@@ -88,10 +87,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="run a canonical figure recipe")
     p.add_argument("figure", help="fig2 .. fig8")
-    p.add_argument("--out", type=Path, default=Path("out"))
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="KEY=VALUE", help="override a recipe field")
-    p.add_argument("--workers", type=int, default=None)
+    _add_run(p, workers=True)
 
     p = sub.add_parser("bessel", help="J_k values and J_0 zeros")
     p.add_argument("--order", type=int, default=0)
@@ -119,8 +115,7 @@ def _load_spec(args) -> SystemSpec:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config: {exc}") from exc
-    spec, unknown = apply_spec_overrides(spec_from_json(text),
-                                         _parse_overrides(args.overrides))
+    spec, unknown = apply_spec_overrides(spec_from_json(text), args.overrides)
     if unknown:
         raise ValidationError(f"unknown spec field {next(iter(unknown))!r}")
     return spec
@@ -147,54 +142,43 @@ def _workers(args) -> int:
 
 def _cmd_propagate(args) -> int:
     spec = _load_spec(args)
-    check_out_dir(args.out)
-    started = time.perf_counter()
-    traj = propagate(
-        spec,
-        basis_state(spec.n_sites, args.initial_site),
-        t_final=args.periods * spec.period,
-        steps_per_period=args.steps_per_period,
-        stride=args.stride,
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
-    csvio.write_trajectory(args.out / "trajectory.csv", traj.times,
-                           traj.amplitudes)
-    write_manifest(args.out, {
-        "command": "propagate",
-        "spec": spec.to_json_dict(),
-        "initial_site": args.initial_site,
-        "periods": args.periods,
-        "steps_per_period": args.steps_per_period,
-        "stride": args.stride,
-        "overrides": _parse_overrides(args.overrides),
-        "max_norm_deviation": traj.max_norm_deviation,
-        "min_populations": [float(v) for v in traj.min_populations],
-        "outputs": ["trajectory.csv"],
-    }, started)
+    with Run(args.out, {"command": "propagate", "spec": spec.to_json_dict(),
+                        "initial_site": args.initial_site,
+                        "periods": args.periods,
+                        "steps_per_period": args.steps_per_period,
+                        "stride": args.stride,
+                        "overrides": args.overrides}) as run:
+        traj = propagate(
+            spec,
+            basis_state(spec.n_sites, args.initial_site),
+            t_final=args.periods * spec.period,
+            steps_per_period=args.steps_per_period,
+            stride=args.stride,
+        )
+        csvio.write_trajectory(run.file("trajectory.csv"), traj.times,
+                               traj.amplitudes)
+        run.finish({
+            "max_norm_deviation": traj.max_norm_deviation,
+            "min_populations": [float(v) for v in traj.min_populations],
+        })
     return 0
 
 
 def _cmd_floquet(args) -> int:
     spec = _load_spec(args)
-    check_out_dir(args.out)
-    started = time.perf_counter()
-    op = monodromy(spec, steps_per_period=args.steps_per_period)
-    modes = floquet_modes(op)
-    args.out.mkdir(parents=True, exist_ok=True)
-    outputs = ["modes.csv"]
-    csvio.write_modes(args.out / "modes.csv", spec.a2 / spec.omega, modes)
-    if args.dump_monodromy:
-        csvio.write_monodromy(args.out / "monodromy.csv", op.matrix)
-        outputs.append("monodromy.csv")
-    write_manifest(args.out, {
-        "command": "floquet",
-        "spec": spec.to_json_dict(),
-        "steps_per_period": args.steps_per_period,
-        "overrides": _parse_overrides(args.overrides),
-        "unitarity_residual": op.unitarity_residual(),
-        "quasienergies": [m.quasienergy for m in modes],
-        "outputs": outputs,
-    }, started)
+    with Run(args.out, {"command": "floquet", "spec": spec.to_json_dict(),
+                        "steps_per_period": args.steps_per_period,
+                        "overrides": args.overrides}) as run:
+        op = monodromy(spec, steps_per_period=args.steps_per_period)
+        modes = floquet_modes(op)
+        csvio.write_modes(run.file("modes.csv"), spec.a2 / spec.omega, modes)
+        if args.dump_monodromy:
+            csvio.write_monodromy(run.file("monodromy.csv"), op.matrix)
+        run.finish({
+            "max_norm_deviation": op.max_norm_deviation,
+            "unitarity_residual": op.unitarity_residual(),
+            "quasienergies": [m.quasienergy for m in modes],
+        })
     return 0
 
 
@@ -210,18 +194,13 @@ def _cmd_scan(args) -> int:
                         steps_per_period=args.steps_per_period, **horizon)
     run_recipe({"minp1_scan" if minp1 else "spectrum_scan": True}, config,
                args.out, _workers(args),
-               {"command": args.command,
-                "overrides": _parse_overrides(args.overrides)})
+               {"command": args.command, "overrides": args.overrides})
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    reproduce(
-        args.figure,
-        args.out,
-        workers=_workers(args),
-        overrides=_parse_overrides(args.overrides),
-    )
+    reproduce(args.figure, args.out, workers=_workers(args),
+              overrides=args.overrides)
     return 0
 
 
@@ -259,6 +238,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "overrides" in args:
+            args.overrides = _parse_overrides(args.overrides)
         return _COMMANDS[args.command](args)
     except (ValidationError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ as crossings or avoided crossings.
 
 Canonical figure parameter sets live in bundled JSON config files so every
 reproduction run is auditable. ``run_recipe`` runs a recipe's panels and
-writes per-panel CSV data plus a JSON manifest sufficient to rerun it;
-``reproduce`` and the CLI scan commands both go through it.
+writes per-panel CSV data; ``reproduce`` and the CLI scan commands both go
+through it. ``Run`` is the one owner of a run's output directory and of its
+JSON manifest, which is sufficient to rerun it, for every CLI command.
 """
 
 from __future__ import annotations
@@ -373,29 +374,76 @@ def _heatmap_outputs(heat, config, output) -> None:
     )
 
 
-def check_out_dir(out_dir) -> None:
-    """Fail before any work unless ``out_dir`` is a writable directory or
-    can be made one: the nearest existing path at or above it must be a
-    writable directory. Nothing is created, so a failed run leaves no
-    directory behind."""
-    probe = Path(out_dir).absolute()
-    while not probe.exists() and probe != probe.parent:
-        probe = probe.parent
-    if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
-        raise ValidationError(f"output directory {str(out_dir)!r}: "
-                              f"{str(probe)!r} is not a writable directory")
+class Run:
+    """One run's output directory and manifest.json, for every command.
+
+    Construction checks ``out_dir`` before any work: the nearest existing
+    path at or above it must be a writable directory. ``file(name)`` creates
+    the directory at the first file and records the name under ``outputs``.
+    ``finish(results)`` writes ``head`` (all that is known before any work),
+    the results, ``outputs``, ``tool_version`` and ``wall_time_s``. As a
+    context manager, a run that fails after its first file leaves a manifest
+    of ``head``, ``outputs`` and the ``error``, and the failure propagates.
+    """
+
+    def __init__(self, out_dir, head: dict):
+        self.out_dir = Path(out_dir)
+        probe = self.out_dir.absolute()
+        while not probe.exists() and probe != probe.parent:
+            probe = probe.parent
+        if not (probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)):
+            raise ValidationError(f"output directory {str(out_dir)!r}: "
+                                  f"{str(probe)!r} is not a writable directory")
+        self.head = head
+        self.outputs: list[str] = []
+        self._started = time.perf_counter()
+
+    def file(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out_dir / name
+
+    def __enter__(self) -> "Run":
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if error is not None and self.outputs:
+            try:
+                self.finish({"error": str(error) or kind.__name__})
+            except Exception:  # the run's own failure is the one to report
+                pass
+
+    def finish(self, results: dict) -> dict:
+        """Write the manifest through manifest.json.tmp, renamed over it once
+        complete and removed on failure; return what was written."""
+        from . import __version__
+
+        payload = {**self.head, **results, "outputs": self.outputs,
+                   "tool_version": __version__,
+                   "wall_time_s": time.perf_counter() - self._started}
+        target = self.out_dir / "manifest.json"
+        partial = target.with_name("manifest.json.tmp")
+        try:
+            with open(partial, "w", encoding="ascii") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(partial, target)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+        return payload
 
 
 def run_recipe(recipe: dict, config: ScanConfig, out_dir, workers: int,
                head: dict) -> dict:
     """Run a recipe's panels (``minp1_scan``, ``spectrum_scan``, ``series``,
-    ``heatmap``, in that order) on ``config``; returns the manifest dict.
+    ``heatmap``, in that order) on ``config`` in one ``Run``; returns the
+    manifest dict.
 
-    Every input is checked before any work, and ``out_dir`` is created when
-    the first file is written. Data files are byte-identical across reruns
-    and worker counts. The manifest is ``head``, the ScanConfig, the scans'
-    landmarks, classifications, warnings (each once) and worst norm drift,
-    and the files written.
+    Every input is checked before any work. Data files are byte-identical
+    across reruns and worker counts. The manifest is ``head``, the
+    ScanConfig and ``workers``, then the scans' landmarks, classifications,
+    warnings (each once) and worst norm drift.
     """
     require_int("workers", workers, 1)
     if "heatmap" in recipe:
@@ -403,49 +451,37 @@ def run_recipe(recipe: dict, config: ScanConfig, out_dir, workers: int,
     for panel in ("series", "heatmap"):
         if panel in recipe:
             check_stride(int(recipe[panel]["stride"]), config.steps_per_period)
-    out_dir = Path(out_dir)
-    check_out_dir(out_dir)
 
-    started = time.perf_counter()
-    outputs: list[str] = []
     results: list[ScanResult] = []
     manifest = {}
-
-    def output(name: str) -> Path:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs.append(name)
-        return out_dir / name
-
-    if recipe.get("minp1_scan"):
-        result = scan_min_p1(config, workers=workers)
-        csvio.write_min_p1_scan(output("minp1.csv"), result.ratios,
-                                result.min_p1)
-        results.append(result)
-        if config.base_spec.n_sites == 3 and config.base_spec.nu0 == 0.0:
-            manifest["min_p1_oracle_gap"] = _min_curve_oracle_gap(config,
-                                                                  result)
-    if recipe.get("spectrum_scan"):
-        result = scan_spectrum(config, workers=workers)
-        csvio.write_spectrum(output("spectrum.csv"), result.ratios,
-                             result.branch_set.branches)
-        results.append(result)
-    if "series" in recipe:
-        _series_outputs(recipe["series"], config, output)
-    if "heatmap" in recipe:
-        _heatmap_outputs(recipe["heatmap"], config, output)
-
-    manifest.update({
-        **head,
-        **config.to_json_dict(),
-        "workers": workers,
-        "landmarks": results[0].landmarks if results else [],
-        "classifications": [c for r in results for c in r.classifications],
-        "warnings": list(dict.fromkeys(w for r in results for w in r.warnings)),
-        "max_norm_deviation": max((r.max_norm_deviation for r in results),
-                                  default=0.0),
-        "outputs": outputs,
-    })
-    return write_manifest(out_dir, manifest, started)
+    with Run(out_dir, {**head, **config.to_json_dict(),
+                       "workers": workers}) as run:
+        if recipe.get("minp1_scan"):
+            result = scan_min_p1(config, workers=workers)
+            csvio.write_min_p1_scan(run.file("minp1.csv"), result.ratios,
+                                    result.min_p1)
+            results.append(result)
+            if config.base_spec.n_sites == 3 and config.base_spec.nu0 == 0.0:
+                manifest["min_p1_oracle_gap"] = _min_curve_oracle_gap(config,
+                                                                      result)
+        if recipe.get("spectrum_scan"):
+            result = scan_spectrum(config, workers=workers)
+            csvio.write_spectrum(run.file("spectrum.csv"), result.ratios,
+                                 result.branch_set.branches)
+            results.append(result)
+        if "series" in recipe:
+            _series_outputs(recipe["series"], config, run.file)
+        if "heatmap" in recipe:
+            _heatmap_outputs(recipe["heatmap"], config, run.file)
+        return run.finish({
+            **manifest,
+            "landmarks": results[0].landmarks if results else [],
+            "classifications": [c for r in results for c in r.classifications],
+            "warnings": list(dict.fromkeys(w for r in results
+                                           for w in r.warnings)),
+            "max_norm_deviation": max((r.max_norm_deviation for r in results),
+                                      default=0.0),
+        })
 
 
 def reproduce(
@@ -461,32 +497,6 @@ def reproduce(
     config = _apply_overrides(ScanConfig.from_json_dict(recipe), overrides)
     return run_recipe(recipe, config, out_dir, workers,
                       {"figure": figure_id, "overrides": overrides})
-
-
-def write_manifest(out_dir, payload: dict, started: float) -> dict:
-    """Write ``payload`` as out_dir/manifest.json and return what was written.
-
-    The tool version and the wall time since ``started`` (a
-    ``time.perf_counter()`` reading) are added to it. The JSON goes to
-    manifest.json.tmp, which is renamed over manifest.json once complete and
-    removed on failure, so a payload that fails to serialise or an
-    interrupted write leaves no truncated manifest behind.
-    """
-    from . import __version__
-
-    payload = {**payload, "tool_version": __version__,
-               "wall_time_s": time.perf_counter() - started}
-    target = Path(out_dir) / "manifest.json"
-    partial = target.with_name("manifest.json.tmp")
-    try:
-        with open(partial, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(partial, target)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    return payload
 
 
 def _min_curve_oracle_gap(config: ScanConfig, result: ScanResult) -> float:

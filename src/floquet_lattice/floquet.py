@@ -43,11 +43,12 @@ OVERLAP_AMBIGUITY = 1e-3
 
 @dataclass(frozen=True)
 class MonodromyOperator:
-    """One-period propagator U(T, 0) for a given system."""
+    """One-period propagator U(T, 0) and the worst norm drift of its sweep."""
 
     matrix: np.ndarray
     spec: SystemSpec
     steps_per_period: int
+    max_norm_deviation: float
 
     def unitarity_residual(self) -> float:
         return _unitarity_residual(self.matrix)
@@ -85,11 +86,12 @@ def monodromy(
     spec: SystemSpec, steps_per_period: int = DEFAULT_STEPS_PER_PERIOD
 ) -> MonodromyOperator:
     """Assemble U(T, 0) column by column from basis-vector propagation."""
-    (u,), _ = basis_sweep(spec, [spec.a2], steps_per_period)
+    (u,), drift = basis_sweep(spec, [spec.a2], steps_per_period)
     u = u.copy()
     _check_unitary(u)
     return MonodromyOperator(matrix=u, spec=spec,
-                             steps_per_period=steps_per_period)
+                             steps_per_period=steps_per_period,
+                             max_norm_deviation=drift)
 
 
 def fold_quasienergy(eigenvalue: complex, omega: float) -> float:

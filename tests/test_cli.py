@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from floquet_lattice import SystemSpec, cli, experiments
+from floquet_lattice import NumericsError, SystemSpec, cli, experiments
 from floquet_lattice.cli import main
 from floquet_lattice.propagator import basis_sweep
 
@@ -149,6 +149,8 @@ def test_floquet_modes_csv(tmp_path, spec_file):
     assert len(mono) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["unitarity_residual"] < 1e-8
+    _, drift = basis_sweep(SystemSpec(**manifest["spec"]), [20.0], 1000)
+    assert manifest["max_norm_deviation"] == drift > 0.0
 
 
 def test_scan_minp1_cli(tmp_path, spec_file):
@@ -180,25 +182,75 @@ def test_scan_spectrum_cli(tmp_path, spec_file):
 
 def test_scan_and_recipe_manifests_share_one_key_set(tmp_path, spec_file):
     grid, steps = ["--grid", "2.3:2.5:5"], ["--steps-per-period", "500"]
+    config, one = ["--config", str(spec_file)], ["--workers", "1"]
     runs = {
-        "scan-minp1": ["scan-minp1", "--config", str(spec_file), *grid,
-                       "--periods", "5", *steps],
-        "scan-spectrum": ["scan-spectrum", "--config", str(spec_file), *grid,
-                          *steps],
+        "scan-minp1": ["scan-minp1", *config, *grid, "--periods", "5", *steps,
+                       *one],
+        "scan-spectrum": ["scan-spectrum", *config, *grid, *steps, *one],
         "reproduce": ["reproduce", "fig3", "--set", "grid_start=2.3",
                       "--set", "grid_stop=2.5", "--set", "grid_points=5",
-                      "--set", "steps_per_period=500"],
+                      "--set", "steps_per_period=500", *one],
+        "propagate": ["propagate", *config, "--periods", "3", *steps],
+        "floquet": ["floquet", *config, "--dump-monodromy", *steps],
     }
     keys = {}
     for name, argv in runs.items():
         out = tmp_path / name
-        assert main(argv + ["--workers", "1", "--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         keys[name] = set(manifest) - {"command", "figure", "min_p1_oracle_gap"}
-        assert all((out / f).is_file() for f in manifest["outputs"])
+        # every command lists exactly the files it wrote
+        assert sorted(manifest["outputs"]) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json")
     assert keys["scan-minp1"] == keys["scan-spectrum"] == keys["reproduce"]
     assert {"landmarks", "classifications", "warnings", "max_norm_deviation",
             "outputs", "workers", "overrides"} <= keys["reproduce"]
+
+
+def test_failure_after_the_first_file_leaves_a_failure_manifest(tmp_path,
+                                                                capsys):
+    # fig5's Min(P1) panel completes; its spectrum panel then fails the
+    # eigen residual gate at grid point 106 with 500 steps per period
+    out = tmp_path / "out"
+    overrides = {"horizon_periods": "2", "steps_per_period": "500",
+                 "grid_points": "61"}
+    sets = [f for k, v in overrides.items() for f in ("--set", f"{k}={v}")]
+    code = main(["reproduce", "fig5", *sets, "--workers", "1",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "eigen relation residual" in err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "minp1.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["minp1.csv"]
+    assert manifest["figure"] == "fig5" and manifest["overrides"] == overrides
+    assert manifest["workers"] == 1
+    config = experiments._apply_overrides(
+        experiments.figure_scan_config("fig5"), overrides)
+    assert experiments.ScanConfig.from_json_dict(manifest) == config
+    assert "eigen relation residual" in manifest["error"]
+    assert manifest["error"] in err
+
+
+def test_a_failed_failure_manifest_keeps_the_run_s_exit_code(tmp_path, capsys,
+                                                            monkeypatch):
+    def second_panel_fails(*args, **kwargs):
+        raise NumericsError("the second panel failed")
+
+    def no_manifest(self, results):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments, "scan_spectrum", second_panel_fails)
+    monkeypatch.setattr(experiments.Run, "finish", no_manifest)
+    out = tmp_path / "out"
+    code = main(["reproduce", "fig5", "--set", "horizon_periods=2",
+                 "--set", "grid_points=3", "--workers", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "numerical failure: the second panel failed" in \
+        capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["minp1.csv"]
 
 
 def test_spectrum_manifest_reports_the_sweep_norm_drift(tmp_path, spec_file):

@@ -25,7 +25,7 @@ from floquet_lattice import (
     track_branches,
 )
 from floquet_lattice import experiments
-from floquet_lattice.experiments import write_manifest
+from floquet_lattice.experiments import Run
 from floquet_lattice.floquet import OVERLAP_AMBIGUITY
 from floquet_lattice.propagator import (
     basis_sweep,
@@ -81,21 +81,38 @@ def test_config_stores_numpy_counts_as_int(tmp_path):
     for name in ("grid_points", "horizon_periods", "steps_per_period",
                  "initial_site"):
         assert type(getattr(config, name)) is int
-    written = write_manifest(tmp_path, config.to_json_dict(), time.perf_counter())
+    written = Run(tmp_path, config.to_json_dict()).finish({})
     assert json.loads((tmp_path / "manifest.json").read_text()) == written
 
 
 def test_failed_manifest_write_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
-        write_manifest(tmp_path, {"grid_points": object()}, time.perf_counter())
+        Run(tmp_path, {}).finish({"grid_points": object()})
     assert list(tmp_path.iterdir()) == []
     # a failed rewrite keeps the previous manifest whole
-    write_manifest(tmp_path, {"grid_points": 3}, time.perf_counter())
+    Run(tmp_path, {}).finish({"grid_points": 3})
     before = (tmp_path / "manifest.json").read_bytes()
     with pytest.raises(TypeError):
-        write_manifest(tmp_path, {"grid_points": object()}, time.perf_counter())
+        Run(tmp_path, {}).finish({"grid_points": object()})
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
     assert (tmp_path / "manifest.json").read_bytes() == before
+
+
+def test_run_leaves_a_failure_manifest_only_after_its_first_file(tmp_path):
+    out = tmp_path / "out"
+    for where in (out, tmp_path):  # a new and an existing directory
+        with pytest.raises(KeyError):
+            with Run(where, {"command": "x"}):
+                raise KeyError("before any file")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(IntegrationFailure, match="midway"):
+        with Run(out, {"command": "x"}) as run:
+            run.file("a.csv").write_text("")
+            raise IntegrationFailure("midway", 0.5)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv", "manifest.json"]
+    assert manifest["command"] == "x" and manifest["outputs"] == ["a.csv"]
+    assert "midway" in manifest["error"]
 
 
 def test_landmark_zeros():

@@ -25,7 +25,8 @@ from floquet_lattice.floquet import (
     _gap_probe,
     _unpruned_matchings,
 )
-from floquet_lattice.propagator import one_period_table, period_average
+from floquet_lattice.propagator import (basis_sweep, one_period_table,
+                                        period_average)
 
 from helpers import (
     circular_match,
@@ -54,6 +55,13 @@ def test_monodromy_matches_static_exponential():
     h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     expected = scipy.linalg.expm(-1j * h * spec.period)
     assert np.max(np.abs(op.matrix - expected)) < 1e-10
+
+
+def test_monodromy_reports_the_sweep_norm_drift():
+    spec = spec_n(3, a2=24.0)
+    op = monodromy(spec, 500)
+    assert op.max_norm_deviation == basis_sweep(spec, [spec.a2], 500)[1]
+    assert op.max_norm_deviation > 0.0
 
 
 def test_unitarity_residual_small():
