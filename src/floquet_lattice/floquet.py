@@ -36,6 +36,9 @@ from .propagator import (DEFAULT_STEPS_PER_PERIOD, basis_sweep, map_chunks,
 UNITARITY_FAILURE_BOUND = 1e-6
 EIGEN_RESIDUAL_BOUND = 1e-7
 GAP_THRESHOLD_FACTOR = 1e-4     # crossing threshold = factor * omega
+# Minimum gaps within GAP_TIE_FACTOR * n_sites * omega of the smallest tie
+# (``classify_closest_approach``).
+GAP_TIE_FACTOR = 16 * np.finfo(float).eps
 REFINE_TOLERANCE_FACTOR = 1e-7  # location tolerance = factor * omega
 MAX_GAP_PROBES = 16             # cap on parabolic refinement probes
 OVERLAP_AMBIGUITY = 1e-3
@@ -277,12 +280,14 @@ def _modes_bulk(base_spec: SystemSpec, params: np.ndarray, idx: np.ndarray,
     """
     a2_values = params[idx]
     us, max_dev = basis_sweep(base_spec, a2_values, steps_per_period)
-    modes = []
-    for i, u in zip(idx, us):
+    n = base_spec.n_sites
+    eps, resid = np.empty((idx.size, n)), np.empty((idx.size, n))
+    vecs = np.empty((idx.size, n, n), dtype=complex)
+    for j, (i, u) in enumerate(zip(idx, us)):
         where = f" at grid point {i} (a2={float(params[i])!r})"
         _check_unitary(u, where)
-        modes.append(_sorted_modes(u, base_spec.omega, where))
-    eps, vecs, resid = (np.array(arrays) for arrays in zip(*modes))
+        eps[j], vecs[j], resid[j] = _sorted_modes(u, base_spec.omega, where)
+    del us  # freed before the period average's sweep
     pops = period_average(base_spec, a2_values, vecs, steps_per_period)
     return eps, vecs, pops, resid, max_dev
 
@@ -399,8 +404,17 @@ def classify_closest_approach(branch_set: BranchSet,
 
     ``window`` is a boolean mask over the set's grid. The pair classified
     is the one whose circular quasi-energy gap g reaches the smallest value
-    at any grid point of the window (the first pair in (a, b) order on
-    ties). The method finds the interior local minimum of g on the window
+    at any grid point of the window, the first pair in (a, b) order among
+    those within GAP_TIE_FACTOR * n_sites * omega of it. That bound covers
+    rounding: a quasi-energy is omega / 2 pi times the angle of an
+    eigenvalue of U, so it moves by at most omega / 2 pi times U's rounding
+    error (Bauer-Fike; U is normal), which is under 16 n_sites machine
+    epsilons at the recipes (U's asymmetry after a whole-period sweep,
+    exactly 0 in exact arithmetic, is <= 1.5e-14 there); two gaps hold
+    four quasi-energies, and 4 / (2 pi) < 1. At nu0 = 0 and odd n chiral
+    symmetry ties the pairs that join the zero mode to either side of a
+    +-eps pair, and rounding alone would choose between them. The method
+    finds the interior local minimum of g on the window
     (smallest gap wins if there are several; leftmost on ties), then
     refines it by successive parabolic interpolation on g^2 inside the
     bracketing grid triple. Near a two-level approach
@@ -425,7 +439,9 @@ def classify_closest_approach(branch_set: BranchSet,
     eps = [branch.quasienergies[points] for branch in branch_set.branches]
     gaps = {(a, b): _circular_gap(eps[a], eps[b], omega)
             for a, b in itertools.combinations(range(len(eps)), 2)}
-    pair = min(gaps, key=lambda ab: np.min(gaps[ab]))
+    least = {ab: float(np.min(g)) for ab, g in gaps.items()}
+    tie = min(least.values()) + GAP_TIE_FACTOR * len(eps) * omega
+    pair = next(ab for ab in gaps if least[ab] <= tie)
     g = gaps[pair]
     interior = np.flatnonzero((g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:])) + 1
     if interior.size == 0:

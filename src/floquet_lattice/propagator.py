@@ -20,10 +20,11 @@ scan point. ``_sweep`` carries a (points, k, n) stack of row states over
 one period: per block of steps it builds the coefficients, evaluates every
 point's R_k by Horner's rule and applies them with one ``np.matmul`` per
 step; the norm gate reads the norms of a block's states in one reduction.
-Each buffer it allocates (a block's coefficients, step matrices or states)
-is sized from one byte budget, CHUNK_BYTES, so memory stays flat in the
-step count and the batch width. A point's result is the same for any
-batch size: its arithmetic is elementwise or one matrix product of its own,
+Each buffer it allocates (a block's coefficients with their two build
+scratches, step matrices or states) is sized from one byte budget,
+CHUNK_BYTES, so memory stays flat in the step count and the batch width. A
+point's result is the same for any batch size: its arithmetic is
+elementwise or one matrix product of its own,
 and the coefficient blocks depend on n and the step count alone. That is
 what makes worker-count invariance exact when ``map_chunks``, the one
 thread pool, splits a scan's grid points into chunks.
@@ -51,6 +52,22 @@ one-period operators U(T, 0); ``monodromy``, branch tracking and, through
 ``period_average`` starts it from mode vectors. The direct step loop, row
 states advanced by slice arithmetic, lives in the tests as the independent
 reference the kernel and every folded path are checked against.
+
+Spectrum sweeps stop at T / 2, by time reversal (Haake, *Quantum Signatures
+of Chaos*, ch. 4). Both drives are a_j cos(omega t) and H0 is real
+symmetric, so H(T - t) = H(t). The step spp - 1 - k takes A at the nodes of
+step k in reverse order, and with symmetric A the RK4 polynomial with
+reversed nodes is the transposed one, term by term through h^4
+((A_m A_0)^T = A_0 A_m): R_(spp-1-k) = R_k^T. So U = V^T V with V the
+product of the first spp / 2 step matrices, the same floats up to the
+rounding of one more product (<= 2.4e-14 at the recipes), and
+W_(spp-s) = (W_s^T)^-1 U for W_s = U(t_s, 0), which makes the populations
+along an eigenvector at step spp - s those of its conjugate at step s.
+``basis_sweep`` (without ``on_chunk``) and ``period_average`` use this at an
+even step count; see them for the norm gate at t = T and for the guard
+that keeps the whole-period average where a mode is not real up to a
+phase. An odd step count, and every caller that reads each step's states
+(``one_period_table``, ``propagate`` and Min(P1)), sweep the whole period.
 
 Min(P1) skips the fold blocks that cannot hold the minimum, and stays
 exact. The drive is diagonal, so it drops out of dP/dt for the observed
@@ -104,7 +121,8 @@ DEFAULT_STEPS_PER_PERIOD = 2000
 MIN_STEPS_PER_PERIOD = 100
 
 # Byte budget of each buffer of the step-matrix kernel: a block's step
-# coefficients, and its step matrices and states at every point.
+# coefficients with the two scratches that build them, and its step
+# matrices and states at every point.
 CHUNK_BYTES = 1 << 18
 
 # Steps between the coarse samples that bound each fold block's minimum
@@ -118,7 +136,7 @@ COARSE_STRIDE = 20
 
 # Byte budget of one group of ``_group_pass``: per point, a checkpoint
 # and a bound per fold block and one slab of starts. It lives while the
-# fold runs, after the sweep has freed its 1.25 MB of buffers. Over 2000
+# fold runs, after the sweep has freed its 0.75 MB of buffers. Over 2000
 # periods at 2000 steps a group holds 18 points at N = 4 (fig4) and 12 at
 # N = 6 (fig8); over 200 periods, 57 at N = 3 (fig2). Keeping every
 # point's full starts, the same budget held 4, 2 and 54. With one BLAS
@@ -128,6 +146,23 @@ COARSE_STRIDE = 20
 # peak of 120 points' folds fell from 1127 to 924 KB at fig4, 1005 to
 # 915 KB at fig8 and 1098 to 954 KB at fig2.
 STARTS_BYTES = 1 << 19
+
+# Bound on the population error a mode's departure from a real vector (up to
+# a phase) may cause in a half-period average (``period_average``); points
+# above it are averaged over the whole period. The recipes' modes reach
+# 6.4e-12 near fig4's and fig8's crossings, so no point falls back there,
+# and the bound stays below RK4's own 1e-10 departure from unitarity.
+POPULATION_GUARD = 1e-11
+
+# Byte budget of a sub-block's step matrices and of its states in the
+# spectrum's half sweeps (``basis_sweep`` without ``on_chunk`` and
+# ``period_average``), which keep no rows. Narrow sub-blocks trade some
+# time for working memory: on the 61-point N = 8 scan (one BLAS thread)
+# CHUNK_BYTES gave a traced peak of 1.44 MB in 0.20 s and this budget
+# 0.78 MB in 0.24 s (whole-period sweeps: 2.00 MB, 0.39 s). At 563 points
+# (fig6) a sub-block is one step under either budget, and a gap probe's
+# one point keeps whole coefficient blocks.
+SPECTRUM_STEP_BYTES = CHUNK_BYTES // 4
 
 
 def basis_state(n_sites: int, site: int) -> np.ndarray:
@@ -295,18 +330,23 @@ def _step_matrices(coef: np.ndarray, a2: np.ndarray, out: np.ndarray,
 
 
 def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
-           on_chunk=None):
-    """Carry the (points, k, n) row states ``y0`` over the period from t = 0.
+           on_chunk=None, stop: int | None = None,
+           step_bytes: int = CHUNK_BYTES):
+    """Carry the (points, k, n) row states ``y0`` from t = 0 over the first
+    ``stop`` steps of a period (all of them by default).
 
     Point p evolves at a2_values[p] and the other fields of ``spec``. Steps
     go in blocks: the coefficients of a block of steps (blocks fixed by n
     and the step count alone), then, per sub-block of steps, the transposed
     step matrices of every point by Horner's rule and one ``np.matmul`` per
-    step over the points. Every buffer is sized from CHUNK_BYTES. The norm
+    step over the points. Every buffer is sized from CHUNK_BYTES, or the
+    step matrices and states of a sub-block from ``step_bytes``. The norm
     gate reads the norms of every state of a sub-block in one reduction; the
     first failing step raises IntegrationFailure with its time and the a2 of
     its worst point. Overflow and NaN in the arithmetic are left for that
-    gate to report.
+    gate to report. The step is h = T / steps_per_period and the blocks are
+    those of the whole period whatever ``stop`` is, so a sweep to ``stop``
+    is, bit for bit, the first ``stop`` steps of the whole sweep.
 
     ``on_chunk(first, states)`` sees the states at sample indices first,
     first + 1, ... as a (samples, points, k, n) array: once with the initial
@@ -315,23 +355,25 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     deviation of any state at any step).
     """
     h = _step_size(spec, steps_per_period)
+    stop = steps_per_period if stop is None else stop
     a2 = np.asarray(a2_values, dtype=float).reshape(-1)
     cur = np.array(y0, dtype=complex)
     p, k, n = cur.shape
     if on_chunk is not None:
         on_chunk(0, cur[np.newaxis])
-    coef_steps = max(1, CHUNK_BYTES // (5 * 16 * n * n))
+    coef_steps = max(1, CHUNK_BYTES // (3 * 5 * 16 * n * n))
     work = np.empty((3, 5 * coef_steps * n * n), dtype=complex)
     block = max(1, min(coef_steps,
-                       CHUNK_BYTES // (16 * max(p, 1) * n * max(n, k))))
+                       step_bytes // (16 * max(p, 1) * n * max(n, k))))
     rbuf = np.empty((block, p, n, n), dtype=complex)
     scratch = np.empty(0, dtype=complex)  # the corner's, once one is needed
     states = np.empty((block, p, k, n), dtype=complex)
     max_dev = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for c0 in range(0, steps_per_period, coef_steps):
+        for c0 in range(0, stop, coef_steps):
             c1 = min(c0 + coef_steps, steps_per_period)
             coef = _step_coefficients(spec, h, np.arange(c0, c1) * h, work)
+            c1 = min(c1, stop)
             edge = _corner(coef)
             corner = coef[:, :, edge:, edge:]
             if edge:  # work[1] is free once the coefficients are built
@@ -351,22 +393,28 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
                     np.matmul(prev, r[i], out=y[i])
                     prev = y[i]
                 cur[...] = prev
-                norms = np.sum(y.real**2 + y.imag**2, axis=-1)
-                dev = np.abs(norms - 1.0).reshape(count, -1).max(axis=1)
-                try:
-                    max_dev = max(max_dev,
-                                  _norm_gate(dev, 0.0, s0, h, "at t={t!r}"))
-                except IntegrationFailure:
-                    raise _sweep_failure(dev, norms, a2, s0, h) from None
+                max_dev = max(max_dev, _sweep_gate(
+                    np.sum(y.real**2 + y.imag**2, axis=-1), a2, s0, h))
                 if on_chunk is not None:
                     on_chunk(s0 + 1, y)
     return cur, max_dev
 
 
+def _sweep_gate(norms: np.ndarray, a2: np.ndarray, s0: int, h: float) -> float:
+    """``_norm_gate`` on the squared norms (steps, points, k) of the states
+    after steps s0, s0 + 1, ...: the worst deviation, or IntegrationFailure
+    naming the a2 of the worst point at the first failing step."""
+    dev = np.abs(norms - 1.0).reshape(len(norms), -1).max(axis=1)
+    try:
+        return _norm_gate(dev, 0.0, s0, h, "at t={t!r}")
+    except IntegrationFailure:
+        raise _sweep_failure(dev, norms, a2, s0, h) from None
+
+
 def _sweep_failure(dev, norms, a2, s0: int, h: float) -> IntegrationFailure:
     """The sweep gate's failure, naming the a2 of the worst point at the
-    first failing step; ``norms`` is (steps, points, k). Called only once
-    the gate has failed, so the sweep's loop does no work for it."""
+    first failing step. Called only once the gate has failed, so the
+    sweep's loop does no work for it."""
     i = int(np.argmax(~(dev <= NORM_FAILURE_BOUND)))
     worst = np.abs(norms[i] - 1.0).reshape(a2.size, -1).max(axis=1)
     point = int(np.argmax(worst))  # the first NaN, if there is one
@@ -382,34 +430,115 @@ def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
 
     The other fields of ``spec`` are shared by all points. Returns the
     (points, n, n) stack of one-period operators U(T, 0) and the worst
-    norm deviation of any basis image at any step; the gate fails on any
-    basis image. ``on_chunk`` is as in ``_sweep``: row j of point p's state
-    is the image of basis state j, i.e. the states are U(t_s, 0) transposed.
+    norm deviation of any basis image at any step and of any column of U;
+    the gate fails on any of them. ``on_chunk`` is as in ``_sweep``: row j
+    of point p's state is the image of basis state j, i.e. the states are
+    U(t_s, 0) transposed.
+
+    Both drives are a_j cos(omega t) and H0 is real symmetric, so
+    H(T - t) = H(t): the RK4 step whose nodes mirror step k's about T / 2
+    has the transposed matrix of step k (module docstring). At an even
+    step count, and without ``on_chunk``, the sweep therefore stops at
+    T / 2 and returns U = V^T V with V = U(T/2, 0), in exact arithmetic the
+    whole sweep's product. It is symmetric by construction. The
+    second half's states are never formed, so U's column norms go through
+    the norm gate, at t = T. An odd step count or an ``on_chunk`` caller
+    sweeps the whole period.
     """
     n = spec.n_sites
     eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
-    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, on_chunk)
-    return y.transpose(0, 2, 1), max_dev
+    spp = steps_per_period
+    if on_chunk is not None or spp % 2:
+        y, max_dev = _sweep(spec, a2_values, eye, spp, on_chunk)
+        return y.transpose(0, 2, 1), max_dev
+    y, max_dev = _sweep(spec, a2_values, eye, spp, stop=spp // 2,
+                        step_bytes=SPECTRUM_STEP_BYTES)
+    u = np.matmul(y, y.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate reports
+        norms = np.sum(u.real**2 + u.imag**2, axis=1)
+    a2 = np.asarray(a2_values, dtype=float).reshape(-1)
+    h = spec.period / spp
+    return u, max(max_dev, _sweep_gate(norms[np.newaxis], a2, spp - 1, h))
 
 
 def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
                    steps_per_period: int) -> np.ndarray:
     """Trapezoid one-period average of |a_j(t)|^2 starting from ``vectors``.
 
-    ``vectors`` is (points, modes, n); every row of point p evolves at
-    a2_values[p] and the other fields of ``spec``. Returns (points, modes, n).
+    ``vectors`` is (points, modes, n), each row an eigenvector of its
+    point's one-period operator U (``basis_sweep``); every row of point p
+    evolves at a2_values[p] and the other fields of ``spec``. Returns
+    (points, modes, n).
+
+    At an even step count the average comes from half a period. With
+    W_s = U(t_s, 0), time reversal gives W_(spp-s) = (W_s^T)^-1 U for the
+    RK4 maps (``basis_sweep``), which is conj(W_s) U where W_s is unitary.
+    So along an eigenvector v the populations at step spp - s are those of
+    conj(v) at step s, and the full trapezoid is
+    (half(v) + half(conj v)) / 2, half being the trapezoid over steps
+    0..spp/2 divided by spp/2. In terms of the half-period average A_j of
+    W^+ E_j W, that is v^+ Re(A_j) v. Each row is swept as the real unit
+    vector r along the real part of e^(-i theta) v, theta chosen so that s =
+    v^T v is e^(2 i theta) |s|: half(r) = r^T Re(A_j) r, and with
+    v = e^(i theta) (x + i y), x orthogonal to y, it differs from v^+
+    Re(A_j) v by at most q = |y|^2 / |x|^2 = (|v|^2 - |s|) / (|v|^2 + |s|),
+    as 0 <= Re(A_j) <= 1. A mode of a simple eigenvalue is real up to a
+    phase, q at rounding level (<= 6.4e-12 at every recipe's point). A point
+    where any mode has q above POPULATION_GUARD, as at a degenerate
+    eigenvalue, is averaged over the whole period instead, as is every point
+    at an odd step count. The guard reads each point's own vectors, so a
+    point's result does not depend on its batch. What is left is RK4's
+    departure from unitarity, which the identity assumes away: about 1e-10
+    at the recipes, beside populations' 2.9e-9 step-size error.
     """
+    vectors = np.asarray(vectors)
+    a2 = np.asarray(a2_values, dtype=float).reshape(-1)
+    spp = steps_per_period
+    if spp % 2:
+        return _trapezoid(spec, a2, vectors, spp, spp)
+    real, half = _real_modes(vectors)
+    out = np.empty(vectors.shape)
+    if half.any():
+        out[half] = _trapezoid(spec, a2[half], real if half.all() else
+                               real[half], spp, spp // 2)
+    if not half.all():
+        out[~half] = _trapezoid(spec, a2[~half], vectors[~half], spp, spp)
+    return out
+
+
+def _real_modes(vectors: np.ndarray):
+    """(r, ok) for the (points, modes, n) ``vectors``: r[p, m] is the real
+    unit vector along the real part of e^(-i theta) v, v = vectors[p, m],
+    and ok[p] says that every mode of point p has q <= POPULATION_GUARD
+    (``period_average``). A row with v^T v = 0 or NaN has no such r and
+    fails the guard."""
+    s = np.sum(vectors * vectors, axis=-1)
+    size = np.abs(s)
+    norm = np.sum(vectors.real**2 + vectors.imag**2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (norm - size) / (norm + size)
+        phase = np.sqrt(size / s)[..., np.newaxis]
+        real = vectors.real * phase.real - vectors.imag * phase.imag
+        real /= np.linalg.norm(real, axis=-1, keepdims=True)
+    return real, np.all(q <= POPULATION_GUARD, axis=1)
+
+
+def _trapezoid(spec: SystemSpec, a2_values, vectors: np.ndarray,
+               steps_per_period: int, stop: int) -> np.ndarray:
+    """Trapezoid average of |a_j|^2 over the first ``stop`` steps from
+    ``vectors`` (points, modes, n), as ``_sweep`` carries them."""
     acc = np.zeros(np.shape(vectors))
 
     def accumulate(first, states):
         for i, pop in enumerate(states.real**2 + states.imag**2, first):
-            if 0 < i < steps_per_period:
+            if 0 < i < stop:
                 np.add(acc, pop, out=acc)
             else:
                 np.add(acc, 0.5 * pop, out=acc)
 
-    _sweep(spec, a2_values, vectors, steps_per_period, on_chunk=accumulate)
-    return acc / steps_per_period
+    _sweep(spec, a2_values, vectors, steps_per_period, on_chunk=accumulate,
+           stop=stop, step_bytes=SPECTRUM_STEP_BYTES)
+    return acc / stop
 
 
 def map_chunks(fn, n_items: int, workers: int) -> list:

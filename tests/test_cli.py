@@ -127,6 +127,24 @@ def test_propagate_non_finite_state_exit_code(tmp_path, spec_file):
     assert not (tmp_path / "out" / "trajectory.csv").exists()
 
 
+SCAN = ["scan-spectrum", "--grid", "0:0.5:3", "--workers", "1"]
+
+
+@pytest.mark.parametrize("command", [
+    ["floquet", "--set", "a1=1e308"],
+    SCAN + ["--set", "a1=1e308"],
+    # the drift passes the gate at T / 2 and fails it at T
+    ["floquet", "--steps-per-period", "120"],
+    SCAN + ["--steps-per-period", "120"],
+], ids=["floquet-overflow", "scan-overflow", "floquet-drift", "scan-drift"])
+def test_one_period_norm_failure_exit_code(tmp_path, spec_file, capsys,
+                                           command):
+    code = main(command + ["--config", str(spec_file),
+                           "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "norm drift" in capsys.readouterr().err
+
+
 def test_floquet_rejects_bad_steps_per_period(tmp_path, spec_file, capsys):
     code = main(["floquet", "--config", str(spec_file),
                  "--steps-per-period", "0", "--out", str(tmp_path / "fl")])

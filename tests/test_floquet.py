@@ -25,8 +25,10 @@ from floquet_lattice.floquet import (
     _gap_probe,
     _unpruned_matchings,
 )
-from floquet_lattice.propagator import (basis_sweep, one_period_table,
-                                        period_average)
+from floquet_lattice import propagator
+from floquet_lattice.experiments import ScanConfig, scan_spectrum
+from floquet_lattice.propagator import (NORM_FAILURE_BOUND, basis_sweep,
+                                        one_period_table, period_average)
 
 from helpers import (
     circular_match,
@@ -337,6 +339,46 @@ def test_one_period_paths_reject_bad_steps_per_period(steps):
         period_average(spec, [spec.a2], np.array([[[1.0, 0.0, 0.0]]]), steps)
 
 
+def test_norm_gate_covers_the_end_of_the_period():
+    # at 120 steps the three-site drift is 7.5e-7 at T / 2, inside the gate,
+    # and 1.5e-6 at T, which only U's column norms see after a half sweep
+    spec = spec_n(3)
+    _, half_drift = propagator._sweep(spec, [0.0], np.eye(3)[np.newaxis], 120,
+                                      stop=60)
+    assert half_drift <= NORM_FAILURE_BOUND
+    with pytest.raises(IntegrationFailure) as failure:
+        monodromy(spec, 120)
+    assert failure.value.time == pytest.approx(spec.period)
+    assert "a2=0.0" in str(failure.value)
+    with pytest.raises(IntegrationFailure):
+        scan_spectrum(ScanConfig(base_spec=spec, grid_start=0.0, grid_stop=0.5,
+                                 grid_points=3, steps_per_period=120))
+
+
+@pytest.mark.parametrize("where", ["monodromy", "scan_spectrum"])
+def test_non_finite_half_period_states_fail_the_gate(monkeypatch, where):
+    # a NaN in the states at T / 2 reaches U = V^T V; its column norms fail
+    # the norm gate at t = T, not the unitarity check
+    real_sweep = propagator._sweep
+
+    def poisoned(*args, **kwargs):
+        y, dev = real_sweep(*args, **kwargs)
+        y[..., -1, 0] = np.nan
+        return y, dev
+
+    monkeypatch.setattr(propagator, "_sweep", poisoned)
+    spec = spec_n(3)
+    with pytest.raises(IntegrationFailure) as failure:
+        if where == "monodromy":
+            monodromy(spec, 200)
+        else:
+            scan_spectrum(ScanConfig(base_spec=spec, grid_start=0.0,
+                                     grid_stop=0.5, grid_points=3,
+                                     steps_per_period=200))
+    assert failure.value.time == pytest.approx(spec.period)
+    assert "nan" in str(failure.value)
+
+
 def test_non_finite_operator_raises_package_error():
     spec = spec_n(3, a1=1e308)
     with pytest.raises((IntegrationFailure, NumericsError)):
@@ -409,6 +451,18 @@ def test_classify_takes_the_first_pair_on_ties():
     res = classify_closest_approach(branch_set, _everywhere(branch_set))
     assert res.branches == (0, 3)
     assert res.gap == 1.0
+
+
+@pytest.mark.parametrize("shift, pair", [(1e-14, (0, 1)), (-1e-14, (0, 1)),
+                                         (1e-9, (1, 2))])
+def test_classify_ties_pairs_within_rounding(shift, pair):
+    # a zero mode between a +-eps pair, as chiral symmetry gives at nu0 = 0
+    # and odd n: (0, 1) and (1, 2) tie. Moving one level by 1e-14, as
+    # rounding does, must not change the pair; a real difference must.
+    x = np.array([0.6, 0.5, 0.6])
+    branch_set = _branch_set([-x, 0.0, x - shift], [0.0, 1.0, 2.0])
+    res = classify_closest_approach(branch_set, _everywhere(branch_set))
+    assert res.branches == pair
 
 
 def test_classify_searches_only_inside_the_window():
