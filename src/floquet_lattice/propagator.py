@@ -54,9 +54,10 @@ states advanced by slice arithmetic, lives in the tests as the independent
 reference the kernel and every folded path are checked against.
 
 Spectrum sweeps stop at T / 2, by time reversal (Haake, *Quantum Signatures
-of Chaos*, ch. 4). Both drives are a_j cos(omega t) and H0 is real
-symmetric, so H(T - t) = H(t). The step spp - 1 - k takes A at the nodes of
-step k in reverse order, and with symmetric A the RK4 polynomial with
+of Chaos*, ch. 4), and operator sweeps at T / 4 where nu0 = 0 (below).
+Both drives are a_j cos(omega t) and H0 is real symmetric, so
+H(T - t) = H(t). The step spp - 1 - k takes A at the nodes of step k in
+reverse order, and with symmetric A the RK4 polynomial with
 reversed nodes is the transposed one, term by term through h^4
 ((A_m A_0)^T = A_0 A_m): R_(spp-1-k) = R_k^T. So U = V^T V with V the
 product of the first spp / 2 step matrices, the same floats up to the
@@ -68,6 +69,23 @@ even step count; see them for the norm gate at t = T and for the guard
 that keeps the whole-period average where a mode is not real up to a
 phase. An odd step count, and every caller that reads each step's states
 (``one_period_table``, ``propagate`` and Min(P1)), sweep the whole period.
+
+At nu0 = 0 the operators need only a quarter period, by the generalized
+parity of driven lattices (Grifoni and Hanggi, Phys. Rep. 304, 229 (1998),
+sec. 4). S = diag((-1)^j) flips the sign of the nearest-neighbour hopping
+and leaves the diagonal drive alone, and cos(omega (T/2 - t)) =
+-cos(omega t), so reflection about T / 4 gives H(T/2 - t) = -S H(t) S,
+i.e. A(T/2 - t) = S conj(A(t)) S for A = -i H. The step spp/2 - 1 - k takes
+A at the nodes of step k reflected, in reverse order, so by the argument
+above its RK4 polynomial is step k's transposed and conjugated under S:
+R_(spp/2-1-k) = S R_k^+ S. This holds for RK4's steps themselves, not only
+for the exact flow, which is why the factor is Q^+ and not Q^-1 (the steps
+are not unitary; at 500 steps Q^-1 is off by about 2e-7). With
+Q = U(T/4, 0), V = S Q^+ S Q and U = V^T V. ``basis_sweep`` takes this
+branch when ``spec.nu0 == 0.0`` exactly and the step count is divisible by
+4; nu0 = 0.2 breaks the identity by 0.06-0.12, and a small nu0 is not zero.
+Period averages keep the half sweep: a quarter-period trapezoid differs
+from the whole one by up to 4.8e-2.
 
 Min(P1) skips the fold blocks that cannot hold the minimum, and stays
 exact. The drive is diagonal, so it drops out of dP/dt for the observed
@@ -155,8 +173,8 @@ STARTS_BYTES = 1 << 19
 POPULATION_GUARD = 1e-11
 
 # Byte budget of a sub-block's step matrices and of its states in the
-# spectrum's half sweeps (``basis_sweep`` without ``on_chunk`` and
-# ``period_average``), which keep no rows. Narrow sub-blocks trade some
+# spectrum's quarter and half sweeps (``basis_sweep`` without ``on_chunk``
+# and ``period_average``), which keep no rows. Narrow sub-blocks trade some
 # time for working memory: on the 61-point N = 8 scan (one BLAS thread)
 # CHUNK_BYTES gave a traced peak of 1.44 MB in 0.20 s and this budget
 # 0.78 MB in 0.24 s (whole-period sweeps: 2.00 MB, 0.39 s). At 563 points
@@ -444,6 +462,13 @@ def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
     second half's states are never formed, so U's column norms go through
     the norm gate, at t = T. An odd step count or an ``on_chunk`` caller
     sweeps the whole period.
+
+    At ``spec.nu0 == 0.0`` exactly and a step count divisible by 4 the
+    sweep stops at T / 4 instead: with Q = U(T/4, 0) and S = diag((-1)^j),
+    V = S Q^+ S Q for the RK4 maps (module docstring), and U = V^T V as
+    above, within 3.5e-14 of the whole sweep at the recipes. Any other
+    nu0, however small, and a step count of 2 mod 4 keep the half sweep.
+    The norm gate reads U's columns at t = T, as on the half branch.
     """
     n = spec.n_sites
     eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
@@ -451,8 +476,13 @@ def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
     if on_chunk is not None or spp % 2:
         y, max_dev = _sweep(spec, a2_values, eye, spp, on_chunk)
         return y.transpose(0, 2, 1), max_dev
-    y, max_dev = _sweep(spec, a2_values, eye, spp, stop=spp // 2,
+    quarter = spec.nu0 == 0.0 and spp % 4 == 0
+    y, max_dev = _sweep(spec, a2_values, eye, spp,
+                        stop=spp // 4 if quarter else spp // 2,
                         step_bytes=SPECTRUM_STEP_BYTES)
+    if quarter:  # y = Q^T, and V^T = Q^T (S conj(Q) S)
+        s = (-1.0) ** np.arange(n)
+        y = np.matmul(y, np.outer(s, s) * y.conj().transpose(0, 2, 1))
     u = np.matmul(y, y.transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the gate reports
         norms = np.sum(u.real**2 + u.imag**2, axis=1)

@@ -6,9 +6,10 @@ is step k transposed. A whole-period sweep therefore gives a symmetric U,
 the half-period operator V gives U = V^T V, and the period average along a
 mode follows from half a period. At nu0 = 0 the sign flip S = diag((-1)^j)
 gives H(t + T / 2) = -S H(t) S, so the quasi-energies come in +-eps pairs,
-with one at 0 for odd n. None of these checks rests on a frozen value: every
-bound is the rounding of the sweep, RK4's own departure from unitarity or
-the guard's bound, each derived below.
+with one at 0 for odd n, and H(T / 2 - t) = -S H(t) S, so the half-period
+operator is S Q^+ S Q with Q = U(T / 4, 0). None of these checks rests on a
+frozen value: every bound is the rounding of the sweep, RK4's own departure
+from unitarity or the guard's bound, each derived below.
 """
 
 import math
@@ -16,17 +17,20 @@ import math
 import numpy as np
 import pytest
 
-from floquet_lattice import SystemSpec, monodromy
+from floquet_lattice import IntegrationFailure, SystemSpec, propagator
 from floquet_lattice.experiments import FIGURE_IDS, figure_scan_config
 from floquet_lattice.floquet import _sorted_modes
-from floquet_lattice.propagator import (POPULATION_GUARD, _sweep, _trapezoid,
-                                        basis_sweep, one_period_table,
-                                        period_average)
+from floquet_lattice.propagator import (POPULATION_GUARD, SPECTRUM_STEP_BYTES,
+                                        _sweep, _trapezoid, basis_sweep,
+                                        one_period_table, period_average)
 
 EPS = np.finfo(float).eps
 
 # a2 / omega at the grid's start, near the first J0 zero and past the second
 RATIOS = (0.0, 2.3, 5.6)
+
+# the recipes with nu0 = 0, whose spectrum operators come from T / 4
+CHIRAL = [f for f in FIGURE_IDS if figure_scan_config(f).base_spec.nu0 == 0.0]
 
 
 def _recipe(figure):
@@ -43,6 +47,14 @@ def _whole(spec, a2, spp):
     """U(T, 0) per point from the whole-period sweep."""
     y, _ = _sweep(spec, a2, _eye(spec.n_sites, len(a2)), spp)
     return y.transpose(0, 2, 1)
+
+
+def _half(spec, a2, spp):
+    """V^T V with V = U(T/2, 0) from the half sweep, as ``basis_sweep``
+    forms it off the quarter branch."""
+    y, _ = _sweep(spec, a2, _eye(spec.n_sites, len(a2)), spp, stop=spp // 2,
+                  step_bytes=SPECTRUM_STEP_BYTES)
+    return np.matmul(y, y.transpose(0, 2, 1))
 
 
 def sweep_rounding(spec, spp):
@@ -124,12 +136,13 @@ def test_half_period_product_is_the_whole_period_operator(figure):
 
 @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4", "fig7", "fig8"])
 def test_chiral_quasienergies_at_nu0_zero(figure):
+    # read from the whole sweep: ``basis_sweep`` builds U from S Q^+ S Q
+    # at nu0 = 0, which makes the +-eps pairs hold by construction
     spec, spp, a2 = _recipe(figure)
     assert spec.nu0 == 0.0
     bound = quasienergy_rounding(spec, spp)
-    for x in a2:
-        op = monodromy(spec.replace(a2=float(x)), spp)
-        eps = np.sort(_sorted_modes(op.matrix, spec.omega)[0])
+    for u in _whole(spec, a2, spp):
+        eps = np.sort(_sorted_modes(u, spec.omega)[0])
         # +-eps pairs: the sorted list reversed and negated is itself; a
         # pair at the zone edge +-omega/2 folds to one side, so compare on
         # the circle
@@ -137,6 +150,76 @@ def test_chiral_quasienergies_at_nu0_zero(figure):
         assert np.max(np.minimum(d, spec.omega - d)) <= 2 * bound
         if spec.n_sites % 2:
             assert np.min(np.abs(eps)) <= bound
+
+
+@pytest.mark.parametrize("figure", CHIRAL)
+def test_quarter_period_product_is_the_whole_period_operator(figure):
+    # the test above covers the recipes' step count; at 500 steps
+    # S Q^-1 S Q, RK4's steps not being unitary, is off by about 2e-7,
+    # against a bound of 3e-12
+    spec, _, a2 = _recipe(figure)
+    spp = 500
+    u, _ = basis_sweep(spec, a2, spp)
+    assert np.max(np.abs(u - _whole(spec, a2, spp))) <= 2 * sweep_rounding(
+        spec, spp)
+    assert u.tobytes() != _half(spec, a2, spp).tobytes()  # the branch ran
+
+
+@pytest.mark.parametrize("figure, spp", [(f, None) for f in CHIRAL]
+                         + [("fig4", 500), ("fig8", 500)])
+def test_quarter_period_reflection(figure, spp):
+    # R_(spp/2-1-k) = S R_k^+ S, so the steps spp/4..spp/2-1 multiply to
+    # S Q^+ S: V is S Q^+ S Q to the rounding of the two sweeps
+    spec, recipe_spp, a2 = _recipe(figure)
+    spp = spp or recipe_spp
+    n = spec.n_sites
+    seen = {}
+
+    def keep(first, states):
+        if first <= spp // 2 < first + len(states):
+            seen["v"] = states[spp // 2 - first].transpose(0, 2, 1).copy()
+
+    _sweep(spec, a2, _eye(n, a2.size), spp, on_chunk=keep)
+    y, _ = _sweep(spec, a2, _eye(n, a2.size), spp, stop=spp // 4)
+    q = y.transpose(0, 2, 1)
+    s = np.diag((-1.0) ** np.arange(n))
+    v = s @ q.conj().transpose(0, 2, 1) @ s @ q
+    assert np.max(np.abs(v - seen["v"])) <= sweep_rounding(spec, spp)
+
+
+@pytest.mark.parametrize("figure, nu0, spp", [
+    ("fig5", None, None), ("fig6", None, None),
+    ("fig4", 1e-6, None),  # a small nu0 is not zero
+    ("fig4", None, 1002),  # spp / 2 odd: no quarter to reflect about
+])
+def test_off_the_quarter_branch_the_half_sweep_keeps_its_bytes(figure, nu0,
+                                                               spp):
+    spec, recipe_spp, a2 = _recipe(figure)
+    spec = spec if nu0 is None else spec.replace(nu0=nu0)
+    spp = spp or recipe_spp
+    u, _ = basis_sweep(spec, a2, spp)
+    assert u.tobytes() == _half(spec, a2, spp).tobytes()
+
+
+def test_non_finite_quarter_period_states_fail_the_gate(monkeypatch):
+    # a NaN in the states at T / 4 reaches U through V = S Q^+ S Q; U's
+    # column norms fail the norm gate at t = T
+    real_sweep = propagator._sweep
+    stops = []
+
+    def poisoned(*args, **kwargs):
+        stops.append(kwargs.get("stop"))
+        y, dev = real_sweep(*args, **kwargs)
+        y[..., -1, 0] = np.nan
+        return y, dev
+
+    monkeypatch.setattr(propagator, "_sweep", poisoned)
+    spec, _, a2 = _recipe("fig4")
+    with pytest.raises(IntegrationFailure) as failure:
+        basis_sweep(spec, a2, 400)
+    assert stops == [100]
+    assert failure.value.time == pytest.approx(spec.period)
+    assert "nan" in str(failure.value)
 
 
 # ---------------------------------------------------------------------------
