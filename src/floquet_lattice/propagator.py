@@ -47,28 +47,31 @@ spectrum scan (one BLAS thread) that cut Horner's rule from about 0.20 to
 3.6-3.8 to 2.4-2.5 s.
 
 ``basis_sweep`` starts the sweep from the site basis and returns the
-one-period operators U(T, 0); ``monodromy``, branch tracking and, through
-``_row_table``, ``one_period_table`` and ``propagate`` call it.
-``period_average`` starts it from mode vectors. The direct step loop, row
-states advanced by slice arithmetic, lives in the tests as the independent
+one-period operators U(T, 0); ``monodromy`` and branch tracking call it.
+``period_average`` starts it from mode vectors. ``_row_table``, behind
+``one_period_table`` and ``propagate``, sweeps the basis over the whole
+period and keeps every step's rows. The direct step loop, row states
+advanced by slice arithmetic, lives in the tests as the independent
 reference the kernel and every folded path are checked against.
 
-Spectrum sweeps stop at T / 2, by time reversal (Haake, *Quantum Signatures
-of Chaos*, ch. 4), and operator sweeps at T / 4 where nu0 = 0 (below).
-Both drives are a_j cos(omega t) and H0 is real symmetric, so
+Spectrum sweeps stop about T / 2, by time reversal (Haake, *Quantum
+Signatures of Chaos*, ch. 4), and operator sweeps at T / 4 where nu0 = 0
+(below). Both drives are a_j cos(omega t) and H0 is real symmetric, so
 H(T - t) = H(t). The step spp - 1 - k takes A at the nodes of step k in
 reverse order, and with symmetric A the RK4 polynomial with
 reversed nodes is the transposed one, term by term through h^4
-((A_m A_0)^T = A_0 A_m): R_(spp-1-k) = R_k^T. So U = V^T V with V the
-product of the first spp / 2 step matrices, the same floats up to the
-rounding of one more product (<= 2.4e-14 at the recipes), and
-W_(spp-s) = (W_s^T)^-1 U for W_s = U(t_s, 0), which makes the populations
-along an eigenvector at step spp - s those of its conjugate at step s.
-``basis_sweep`` (without ``on_chunk``) and ``period_average`` use this at an
-even step count; see them for the norm gate at t = T and for the guard
-that keeps the whole-period average where a mode is not real up to a
-phase. An odd step count, and every caller that reads each step's states
-(``one_period_table``, ``propagate`` and Min(P1)), sweep the whole period.
+((A_m A_0)^T = A_0 A_m): R_(spp-1-k) = R_k^T. So with W_s = U(t_s, 0) and
+m = floor(spp / 2), U = W_m^T W_(spp-m): V^T V with V = W_m at an even
+step count, and W_m^T R_m W_m at an odd one, whose middle step R_m is its
+own mirror. That is the same floats up to the rounding of one more
+product (<= 2.4e-14 at the recipes and at 1001 and 2001 steps), and
+W_(spp-s) = (W_s^T)^-1 U, which makes the populations along an
+eigenvector at step spp - s those of its conjugate at step s.
+``basis_sweep`` and ``period_average`` use this at every step count; see
+them for the norm gate at t = T and for the guard that keeps the
+whole-period average where a mode is not real up to a phase. Only the
+row tables, which read each step's states (``one_period_table``,
+``propagate`` and Min(P1)), sweep the whole period.
 
 At nu0 = 0 the operators need only a quarter period, by the generalized
 parity of driven lattices (Grifoni and Hanggi, Phys. Rep. 304, 229 (1998),
@@ -173,8 +176,8 @@ STARTS_BYTES = 1 << 19
 POPULATION_GUARD = 1e-11
 
 # Byte budget of a sub-block's step matrices and of its states in the
-# spectrum's quarter and half sweeps (``basis_sweep`` without ``on_chunk``
-# and ``period_average``), which keep no rows. Narrow sub-blocks trade some
+# spectrum's quarter and half sweeps (``basis_sweep`` and
+# ``period_average``), which keep no rows. Narrow sub-blocks trade some
 # time for working memory: on the 61-point N = 8 scan (one BLAS thread)
 # CHUNK_BYTES gave a traced peak of 1.44 MB in 0.20 s and this budget
 # 0.78 MB in 0.24 s (whole-period sweeps: 2.00 MB, 0.39 s). At 563 points
@@ -421,69 +424,70 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
 def _sweep_gate(norms: np.ndarray, a2: np.ndarray, s0: int, h: float) -> float:
     """``_norm_gate`` on the squared norms (steps, points, k) of the states
     after steps s0, s0 + 1, ...: the worst deviation, or IntegrationFailure
-    naming the a2 of the worst point at the first failing step."""
+    naming the a2 of the worst point at the first failing step.
+
+    A passing sub-block costs one gate call; the worst point is looked for
+    only once that call has failed, and its error is raised outside the
+    handler, so it is not chained to the first."""
     dev = np.abs(norms - 1.0).reshape(len(norms), -1).max(axis=1)
     try:
         return _norm_gate(dev, 0.0, s0, h, "at t={t!r}")
     except IntegrationFailure:
-        raise _sweep_failure(dev, norms, a2, s0, h) from None
-
-
-def _sweep_failure(dev, norms, a2, s0: int, h: float) -> IntegrationFailure:
-    """The sweep gate's failure, naming the a2 of the worst point at the
-    first failing step. Called only once the gate has failed, so the
-    sweep's loop does no work for it."""
+        pass
     i = int(np.argmax(~(dev <= NORM_FAILURE_BOUND)))
     worst = np.abs(norms[i] - 1.0).reshape(a2.size, -1).max(axis=1)
     point = int(np.argmax(worst))  # the first NaN, if there is one
-    try:
-        _norm_gate(dev, 0.0, s0, h, f"at a2={float(a2[point])!r}, t={{t!r}}")
-    except IntegrationFailure as exc:
-        return exc
+    return _norm_gate(dev, 0.0, s0, h,
+                      f"at a2={float(a2[point])!r}, t={{t!r}}")
 
 
-def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int,
-                on_chunk=None):
+def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int):
     """Propagate the site basis over one period at every a2 in ``a2_values``.
 
     The other fields of ``spec`` are shared by all points. Returns the
     (points, n, n) stack of one-period operators U(T, 0) and the worst
     norm deviation of any basis image at any step and of any column of U;
-    the gate fails on any of them. ``on_chunk`` is as in ``_sweep``: row j
-    of point p's state is the image of basis state j, i.e. the states are
-    U(t_s, 0) transposed.
+    the gate fails on any of them.
 
     Both drives are a_j cos(omega t) and H0 is real symmetric, so
     H(T - t) = H(t): the RK4 step whose nodes mirror step k's about T / 2
-    has the transposed matrix of step k (module docstring). At an even
-    step count, and without ``on_chunk``, the sweep therefore stops at
-    T / 2 and returns U = V^T V with V = U(T/2, 0), in exact arithmetic the
-    whole sweep's product. It is symmetric by construction. The
-    second half's states are never formed, so U's column norms go through
-    the norm gate, at t = T. An odd step count or an ``on_chunk`` caller
-    sweeps the whole period.
+    has the transposed matrix of step k (module docstring). The sweep
+    therefore stops after ceil(spp / 2) steps, keeping the row states Y_m
+    after m = floor(spp / 2), and returns U = Y_m Y_(spp-m)^T, in exact
+    arithmetic the whole sweep's product: V^T V with V = U(T/2, 0) at an
+    even step count, W_m^T R_m W_m at an odd one. The second half's states
+    are never formed, so U's column norms go through the norm gate, at
+    t = T. Only ``_row_table``, which keeps every step's rows, sweeps the
+    whole period.
 
     At ``spec.nu0 == 0.0`` exactly and a step count divisible by 4 the
     sweep stops at T / 4 instead: with Q = U(T/4, 0) and S = diag((-1)^j),
     V = S Q^+ S Q for the RK4 maps (module docstring), and U = V^T V as
     above, within 3.5e-14 of the whole sweep at the recipes. Any other
-    nu0, however small, and a step count of 2 mod 4 keep the half sweep.
+    nu0, however small, and any other step count keep the half sweep.
     The norm gate reads U's columns at t = T, as on the half branch.
     """
-    n = spec.n_sites
+    n, spp = spec.n_sites, steps_per_period
     eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
-    spp = steps_per_period
-    if on_chunk is not None or spp % 2:
-        y, max_dev = _sweep(spec, a2_values, eye, spp, on_chunk)
-        return y.transpose(0, 2, 1), max_dev
     quarter = spec.nu0 == 0.0 and spp % 4 == 0
-    y, max_dev = _sweep(spec, a2_values, eye, spp,
-                        stop=spp // 4 if quarter else spp // 2,
+    mid = spp // 4 if quarter else spp // 2
+    stop = mid if quarter else spp - mid
+    kept = []  # Y_mid, where the sweep runs past it
+
+    def keep(first, states):
+        if first <= mid < min(first + len(states), stop):
+            kept.append(states[mid - first].copy())
+
+    y, max_dev = _sweep(spec, a2_values, eye, spp, keep, stop=stop,
                         step_bytes=SPECTRUM_STEP_BYTES)
     if quarter:  # y = Q^T, and V^T = Q^T (S conj(Q) S)
         s = (-1.0) ** np.arange(n)
         y = np.matmul(y, np.outer(s, s) * y.conj().transpose(0, 2, 1))
-    u = np.matmul(y, y.transpose(0, 2, 1))
+    # y y^T itself where the sweep stops at mid: a kept copy would change
+    # np.matmul's floats, which depend on its operands' memory layout and
+    # on whether they share a buffer
+    x = kept[0] if kept else y
+    u = np.matmul(x, y.transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the gate reports
         norms = np.sum(u.real**2 + u.imag**2, axis=1)
     a2 = np.asarray(a2_values, dtype=float).reshape(-1)
@@ -500,37 +504,37 @@ def period_average(spec: SystemSpec, a2_values, vectors: np.ndarray,
     evolves at a2_values[p] and the other fields of ``spec``. Returns
     (points, modes, n).
 
-    At an even step count the average comes from half a period. With
-    W_s = U(t_s, 0), time reversal gives W_(spp-s) = (W_s^T)^-1 U for the
-    RK4 maps (``basis_sweep``), which is conj(W_s) U where W_s is unitary.
-    So along an eigenvector v the populations at step spp - s are those of
-    conj(v) at step s, and the full trapezoid is
-    (half(v) + half(conj v)) / 2, half being the trapezoid over steps
-    0..spp/2 divided by spp/2. In terms of the half-period average A_j of
-    W^+ E_j W, that is v^+ Re(A_j) v. Each row is swept as the real unit
-    vector r along the real part of e^(-i theta) v, theta chosen so that s =
-    v^T v is e^(2 i theta) |s|: half(r) = r^T Re(A_j) r, and with
-    v = e^(i theta) (x + i y), x orthogonal to y, it differs from v^+
-    Re(A_j) v by at most q = |y|^2 / |x|^2 = (|v|^2 - |s|) / (|v|^2 + |s|),
-    as 0 <= Re(A_j) <= 1. A mode of a simple eigenvalue is real up to a
-    phase, q at rounding level (<= 6.4e-12 at every recipe's point). A point
-    where any mode has q above POPULATION_GUARD, as at a degenerate
-    eigenvalue, is averaged over the whole period instead, as is every point
-    at an odd step count. The guard reads each point's own vectors, so a
-    point's result does not depend on its batch. What is left is RK4's
-    departure from unitarity, which the identity assumes away: about 1e-10
-    at the recipes, beside populations' 2.9e-9 step-size error.
+    The average comes from half a period. With W_s = U(t_s, 0), time
+    reversal gives W_(spp-s) = (W_s^T)^-1 U for the RK4 maps
+    (``basis_sweep``) at either parity of spp, which is conj(W_s) U where
+    W_s is unitary. So along an eigenvector v the populations at step
+    spp - s are those of conj(v) at step s, and the full trapezoid is
+    (half(v) + half(conj v)) / 2, half being the trapezoid over [0, T / 2]
+    divided by spp / 2 (``_trapezoid``): at an odd spp = 2 m + 1, T / 2
+    falls between steps m and m + 1, and half is
+    (P_0 / 2 + P_1 + ... + P_m) / (spp / 2). In terms of the half-period
+    average A_j of W^+ E_j W, that is v^+ Re(A_j) v. Each row is swept as
+    the real unit vector r along the real part of e^(-i theta) v, theta
+    chosen so that s = v^T v is e^(2 i theta) |s|: half(r) = r^T Re(A_j) r,
+    and with v = e^(i theta) (x + i y), x orthogonal to y, it differs from
+    v^+ Re(A_j) v by at most q = |y|^2 / |x|^2 = (|v|^2 - |s|) /
+    (|v|^2 + |s|), as 0 <= Re(A_j) <= 1. A mode of a simple eigenvalue is
+    real up to a phase, q at rounding level (<= 6.4e-12 at every recipe's
+    point). A point where any mode has q above POPULATION_GUARD, as at a
+    degenerate eigenvalue, is averaged over the whole period instead. The
+    guard reads each point's own vectors, so a point's result does not
+    depend on its batch. What is left is RK4's departure from unitarity,
+    which the identity assumes away: about 1e-10 at the recipes, beside
+    populations' 2.9e-9 step-size error.
     """
     vectors = np.asarray(vectors)
     a2 = np.asarray(a2_values, dtype=float).reshape(-1)
     spp = steps_per_period
-    if spp % 2:
-        return _trapezoid(spec, a2, vectors, spp, spp)
     real, half = _real_modes(vectors)
     out = np.empty(vectors.shape)
     if half.any():
         out[half] = _trapezoid(spec, a2[half], real if half.all() else
-                               real[half], spp, spp // 2)
+                               real[half], spp, spp / 2)
     if not half.all():
         out[~half] = _trapezoid(spec, a2[~half], vectors[~half], spp, spp)
     return out
@@ -554,21 +558,29 @@ def _real_modes(vectors: np.ndarray):
 
 
 def _trapezoid(spec: SystemSpec, a2_values, vectors: np.ndarray,
-               steps_per_period: int, stop: int) -> np.ndarray:
-    """Trapezoid average of |a_j|^2 over the first ``stop`` steps from
-    ``vectors`` (points, modes, n), as ``_sweep`` carries them."""
+               steps_per_period: int, span: float) -> np.ndarray:
+    """Trapezoid average of |a_j|^2 over the first ``span`` steps from
+    ``vectors`` (points, modes, n), as ``_sweep`` carries them.
+
+    ``span`` is spp / 2 or spp. The sweep runs floor(span) steps; samples
+    0 and ``span``, where that is a sample, weigh 1/2, the others 1, and
+    the sum is divided by ``span``. At a half-integer span, the half
+    period of an odd spp = 2 m + 1, that is the trapezoid over [0, T / 2]:
+    its last interval, from step m to T / 2, has P_m at both ends by the
+    mirror identity (``period_average``).
+    """
     acc = np.zeros(np.shape(vectors))
 
     def accumulate(first, states):
         for i, pop in enumerate(states.real**2 + states.imag**2, first):
-            if 0 < i < stop:
+            if 0 < i < span:
                 np.add(acc, pop, out=acc)
             else:
                 np.add(acc, 0.5 * pop, out=acc)
 
     _sweep(spec, a2_values, vectors, steps_per_period, on_chunk=accumulate,
-           stop=stop, step_bytes=SPECTRUM_STEP_BYTES)
-    return acc / stop
+           stop=int(span), step_bytes=SPECTRUM_STEP_BYTES)
+    return acc / span
 
 
 def map_chunks(fn, n_items: int, workers: int) -> list:
@@ -773,9 +785,10 @@ def _row_table(spec: SystemSpec, a2_values, steps_per_period: int,
     def collect(first, states):  # row j of a state is U(t_s, 0)[:, j]
         rows[first:first + len(states)] = states[..., sites].swapaxes(-1, -2)
 
-    u, max_dev = basis_sweep(spec, a2_values, steps_per_period,
-                             on_chunk=collect)
-    return u, rows, max_dev
+    n = spec.n_sites
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (np.size(a2_values), n, n))
+    y, max_dev = _sweep(spec, a2_values, eye, steps_per_period, collect)
+    return y.transpose(0, 2, 1), rows, max_dev
 
 
 def _period_starts(u: np.ndarray, a0: np.ndarray, count: int) -> np.ndarray:

@@ -126,9 +126,16 @@ def test_whole_period_operator_is_symmetric(figure):
         spec, spp)
 
 
-@pytest.mark.parametrize("figure", FIGURE_IDS)
-def test_half_period_product_is_the_whole_period_operator(figure):
-    spec, spp, a2 = _recipe(figure)
+# the recipes' step count, and an odd one, where U = W_m^T R_m W_m about
+# the middle step (at 501 steps a 25-point grid trips the 1e-7 eigen gate)
+RECIPE_AND_ODD_SPP = [pytest.param(f, None, id=f) for f in FIGURE_IDS] + [
+    ("fig4", 1001), ("fig8", 1001)]
+
+
+@pytest.mark.parametrize("figure, spp", RECIPE_AND_ODD_SPP)
+def test_half_period_product_is_the_whole_period_operator(figure, spp):
+    spec, recipe_spp, a2 = _recipe(figure)
+    spp = spp or recipe_spp
     u, _ = basis_sweep(spec, a2, spp)
     assert np.max(np.abs(u - _whole(spec, a2, spp))) <= 2 * sweep_rounding(
         spec, spp)
@@ -222,6 +229,32 @@ def test_non_finite_quarter_period_states_fail_the_gate(monkeypatch):
     assert "nan" in str(failure.value)
 
 
+def test_only_row_tables_and_the_fallback_sweep_the_whole_period(
+        monkeypatch):
+    # at an odd step count the spectrum sweeps stop about T / 2:
+    # ``basis_sweep`` runs (spp + 1) / 2 steps, keeping the states one step
+    # earlier, and ``period_average`` (spp - 1) / 2. Only the row tables
+    # (no ``stop``) and a point that fails the population guard run spp
+    real_sweep = propagator._sweep
+    stops = []
+
+    def recording(*args, **kwargs):
+        stops.append(kwargs.get("stop"))
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_sweep", recording)
+    spec, _, a2 = _recipe("fig4")
+    spp = 1001
+    u, _ = basis_sweep(spec, a2, spp)
+    vecs = np.array([_sorted_modes(m, spec.omega)[1] for m in u])
+    period_average(spec, a2, vecs, spp)
+    eye = np.eye(spec.n_sites)
+    vecs[0, 0] = (eye[0] + 1j * eye[1]) / math.sqrt(2.0)
+    period_average(spec, a2, vecs, spp)  # point 0 is not real up to a phase
+    one_period_table(spec, a2, spp)
+    assert stops == [501, 500, 500, 1001, None]
+
+
 # ---------------------------------------------------------------------------
 # Period averages
 
@@ -241,15 +274,16 @@ def _unitarity_defect(spec, a2, spp):
     return worst[0]
 
 
-@pytest.mark.parametrize("figure", FIGURE_IDS)
-def test_half_period_average_is_the_whole_period_average(figure):
+@pytest.mark.parametrize("figure, spp", RECIPE_AND_ODD_SPP)
+def test_half_period_average_is_the_whole_period_average(figure, spp):
     # For an eigenvector v, U v = lam v + r, the state at step spp - s is
     # (W_s^T)^-1 U v = conj(W_s) (I + conj(E_s))^-1 (lam v + r), with
     # E_s = W_s^+ W_s - I, so its populations are those of conj(v) at step
     # s within 2 (||E|| + ||r||) + ||lam|^2 - 1| <= 3 ||E|| + 4 ||r||, and
     # the average halves that; the real vector the half sweep carries adds
     # at most POPULATION_GUARD (``period_average``)
-    spec, spp, a2 = _recipe(figure)
+    spec, recipe_spp, a2 = _recipe(figure)
+    spp = spp or recipe_spp
     u, _ = basis_sweep(spec, a2, spp)
     modes = [_sorted_modes(m, spec.omega) for m in u]
     vecs = np.array([vec for _, vec, _ in modes])
