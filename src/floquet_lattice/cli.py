@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -41,8 +40,8 @@ def _add_run(p: argparse.ArgumentParser, workers: bool) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a spec or recipe field")
     if workers:
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default: usable CPUs)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker count (default: 1)")
 
 
 def _add_common(p: argparse.ArgumentParser, scan: bool = False) -> None:
@@ -131,15 +130,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ValidationError(f"bad --grid value: {exc}") from exc
 
 
-def _workers(args) -> int:
-    """--workers, else the number of CPUs this process may run on."""
-    if args.workers is not None:
-        return args.workers
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _cmd_propagate(args) -> int:
     spec = _load_spec(args)
     with Run(args.out, {"command": "propagate", "spec": spec.to_json_dict(),
@@ -193,13 +183,13 @@ def _cmd_scan(args) -> int:
                         grid_points=points,
                         steps_per_period=args.steps_per_period, **horizon)
     run_recipe({"minp1_scan" if minp1 else "spectrum_scan": True}, config,
-               args.out, _workers(args),
+               args.out, args.workers,
                {"command": args.command, "overrides": args.overrides})
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    reproduce(args.figure, args.out, workers=_workers(args),
+    reproduce(args.figure, args.out, workers=args.workers,
               overrides=args.overrides)
     return 0
 

@@ -24,10 +24,13 @@ Each buffer it allocates (a block's coefficients with their two build
 scratches, step matrices or states) is sized from one byte budget,
 CHUNK_BYTES, so memory stays flat in the step count and the batch width. A
 point's result is the same for any batch size: its arithmetic is
-elementwise or one matrix product of its own,
-and the coefficient blocks depend on n and the step count alone. That is
-what makes worker-count invariance exact when ``map_chunks``, the one
-thread pool, splits a scan's grid points into chunks.
+elementwise or one matrix product of its own, and the coefficient blocks
+depend on n and the step count alone. The kernel owns its state buffers,
+all C-contiguous whatever the layout of the states it is given, so each
+point's matrix is contiguous and every product of it is the same BLAS call
+in a batch of one as in a batch of many. That is what makes worker-count
+invariance exact when ``map_chunks``, the one thread pool, splits a scan's
+grid points into chunks.
 
 Horner's rule runs only on the trailing corner where a2 enters. With
 A = M + c (P + a2 Q) and Q the one entry at site N, every term of C_k1..C_k4
@@ -361,7 +364,10 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     and the step count alone), then, per sub-block of steps, the transposed
     step matrices of every point by Horner's rule and one ``np.matmul`` per
     step over the points. Every buffer is sized from CHUNK_BYTES, or the
-    step matrices and states of a sub-block from ``step_bytes``. The norm
+    step matrices and states of a sub-block from ``step_bytes``. The states
+    are carried in C-contiguous buffers of the kernel's own, whatever the
+    layout of ``y0``, so each point's step products and its final states do
+    not depend on the caller's memory layout or on the batch. The norm
     gate reads the norms of every state of a sub-block in one reduction; the
     first failing step raises IntegrationFailure with its time and the a2 of
     its worst point. Overflow and NaN in the arithmetic are left for that
@@ -378,7 +384,7 @@ def _sweep(spec: SystemSpec, a2_values, y0: np.ndarray, steps_per_period: int,
     h = _step_size(spec, steps_per_period)
     stop = steps_per_period if stop is None else stop
     a2 = np.asarray(a2_values, dtype=float).reshape(-1)
-    cur = np.array(y0, dtype=complex)
+    cur = np.array(y0, dtype=complex, order="C")
     p, k, n = cur.shape
     if on_chunk is not None:
         on_chunk(0, cur[np.newaxis])
@@ -483,9 +489,9 @@ def basis_sweep(spec: SystemSpec, a2_values, steps_per_period: int):
     if quarter:  # y = Q^T, and V^T = Q^T (S conj(Q) S)
         s = (-1.0) ** np.arange(n)
         y = np.matmul(y, np.outer(s, s) * y.conj().transpose(0, 2, 1))
-    # y y^T itself where the sweep stops at mid: a kept copy would change
-    # np.matmul's floats, which depend on its operands' memory layout and
-    # on whether they share a buffer
+    # y y^T on y itself where the sweep stops at mid: one buffer times its
+    # own transpose is BLAS syrk, whose U is exactly symmetric, while a
+    # copy of it goes through gemm, whose U is not
     x = kept[0] if kept else y
     u = np.matmul(x, y.transpose(0, 2, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the gate reports

@@ -529,9 +529,9 @@ def test_reproduce_unknown_figure(tmp_path, capsys):
     assert "fig2" in err  # the error names the valid ids
 
 
-def test_workers_default_to_usable_cpus(tmp_path, spec_file, monkeypatch):
-    # a process pinned to one CPU runs one worker, whatever cpu_count says
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+def test_workers_default_to_one(tmp_path, spec_file, monkeypatch):
+    # one worker, however many CPUs the process may run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     out = tmp_path / "pinned"

@@ -213,6 +213,32 @@ def test_scan_min_p1_worker_invariance(points, workers):
     assert np.array_equal(many.max_norm_deviation, one.max_norm_deviation)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(points=st.integers(2, 9), workers=st.integers(1, 6))
+def test_scan_spectrum_worker_invariance(points, workers):
+    # nu0 = 0.2 keeps the half sweep, whose U = V^T V is a stacked product
+    config = small_config(base_spec=spec_n(3, a1=10.0, nu0=0.2),
+                          grid_stop=1.0, grid_points=points,
+                          steps_per_period=200)
+    one = scan_spectrum(config, workers=1, classify=False).branch_set
+    many = scan_spectrum(config, workers=workers, classify=False).branch_set
+    for a, b in zip(one.branches, many.branches, strict=True):
+        assert np.array_equal(b.quasienergies, a.quasienergies)
+        assert np.array_equal(b.vectors, a.vectors)
+        assert np.array_equal(b.avg_populations, a.avg_populations)
+        assert np.array_equal(b.residuals, a.residuals)
+    assert np.array_equal(many.max_norm_deviation, one.max_norm_deviation)
+
+
+def test_classifications_are_worker_invariant():
+    config = replace(figure_scan_config("fig6"), grid_start=1.8,
+                     grid_stop=3.0, grid_points=13, steps_per_period=1000)
+    one = scan_spectrum(config, workers=1)
+    assert one.classifications
+    assert scan_spectrum(config, workers=3).classifications == \
+        one.classifications
+
+
 @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2", None])
 @pytest.mark.parametrize("entry", [
     "scan_min_p1", "scan_spectrum", "track_branches", "reproduce"])

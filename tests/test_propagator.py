@@ -784,18 +784,25 @@ def _modes(u, spec):
 
 
 def test_sweeps_are_batch_invariant():
-    a2 = np.linspace(0.0, 60.0, 7)
-    for nu0 in (0.0, 0.2):  # the quarter sweep, then the half sweep
-        spec = SystemSpec(n_sites=4, omega0=1.0, nu0=nu0, a1=22.0, a2=0.0,
-                          omega=10.0)
-        u, _ = basis_sweep(spec, a2, 1000)
-        singles = [basis_sweep(spec, [x], 1000)[0][0] for x in a2]
+    # the quarter sweep and the half sweep at N = 4; the fig5 spec, whose
+    # half sweep ends in the stacked U = V^T V; the fig2 spec at 1002
+    # steps, the half sweep at nu0 = 0
+    cases = [(spec3(n_sites=4), 1000), (spec3(n_sites=4, nu0=0.2), 1000),
+             (spec3(nu0=0.2), 2000), (spec3(), 1002)]
+    a2 = np.linspace(0.0, 60.0, 9)
+    for spec, spp in cases:
+        u, _ = basis_sweep(spec, a2, spp)
+        singles = [basis_sweep(spec, [x], spp)[0][0] for x in a2]
         assert np.array_equal(u, singles)
         vecs = _modes(u, spec)
-        pops = period_average(spec, a2, vecs, 1000)
+        pops = period_average(spec, a2, vecs, spp)
+        table = one_period_table(spec, a2, spp)
         for p, x in enumerate(a2):
             assert np.array_equal(
-                pops[p], period_average(spec, [x], vecs[p:p + 1], 1000)[0])
+                pops[p], period_average(spec, [x], vecs[p:p + 1], spp)[0])
+            single = one_period_table(spec, [x], spp)
+            assert np.array_equal(table.site_rows[:, p], single.site_rows[:, 0])
+            assert np.array_equal(table.monodromies[p], single.monodromies[0])
 
 
 def test_norm_gate_fails_at_the_direct_loop_step():
